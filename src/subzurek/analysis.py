@@ -33,9 +33,11 @@ from .states import PhysicalConstants, StateSpec
 from .wigner import (
     GridWindow,
     MixtureSpec,
-    _source_grid_separable,
+    displaced_overlaps,
     eval_cut,
     eval_wigner,
+    pair_kernel,
+    suggested_window,
 )
 
 OVERSPILL_WARN_RATIO = 0.1
@@ -183,17 +185,13 @@ def overspill_check(state: StateSpec, constants: PhysicalConstants | None = None
             "overspill check needs a central component with two adjacent "
             f"neighbors; state has {len(state.components)} components"
         )
-    order = np.argsort(state.centers)
-    centers = state.centers[order]
-    coeffs = state.coeffs[order]
-    i0 = int(np.argmin(np.abs(centers)))
-    if i0 == 0 or i0 == centers.size - 1:
+    comps = sorted(state.components, key=lambda c: c.center)
+    i0 = int(np.argmin([abs(c.center) for c in comps]))
+    if i0 == 0 or i0 == len(comps) - 1:
         raise ValueError("central component has no neighbor on both sides")
-    xi = state.xi
-    hbar = constants.hbar
-    lhs = 0.0
-    for i in (i0 - 1, i0 + 1):
-        lhs += abs(coeffs[i]) ** 2 * math.exp(-(centers[i] ** 2) / (xi * xi)) / (math.pi * hbar)
+    lhs = sum(
+        float(pair_kernel(c, c, 0.0, 0.0, constants).real) for c in (comps[i0 - 1], comps[i0 + 1])
+    )
     rhs = abs(eval_wigner(state, 0.0, 0.0))
     if rhs < _RHS_FLOOR:
         return OverspillResult(lhs=lhs, rhs=rhs, ratio=math.nan, satisfied=False, indeterminate=True)
@@ -211,14 +209,6 @@ def overspill_check(state: StateSpec, constants: PhysicalConstants | None = None
 # ---------------------------------------------------------------------------
 # displacement sensitivity
 
-def _shifted_grid(source, window: GridWindow, delta_x: float, delta_p: float) -> np.ndarray:
-    # W shifted by (dx, dp) evaluated on the lattice: displace the evaluation
-    # coordinates, never the buffer
-    xs = window.x_coords() - delta_x
-    ps = window.p_coords() - delta_p
-    return _source_grid_separable(source, xs, ps)
-
-
 def displacement_sensitivity(
     source, delta_x: float, delta_p: float, window: GridWindow
 ) -> float:
@@ -228,20 +218,13 @@ def displacement_sensitivity(
     e^{-dx^2/(2 xi^2)}.
     """
     _check_sensitivity_window(source, window, delta_x, delta_p)
-    xs = window.x_coords()
-    ps = window.p_coords()
-    base = _source_grid_separable(source, xs, ps)
     if delta_x == 0.0 and delta_p == 0.0:
         return 1.0
-    shifted = _shifted_grid(source, window, delta_x, delta_p)
-    denom = np.trapezoid(np.trapezoid(base * base, ps, axis=1), xs)
-    num = np.trapezoid(np.trapezoid(base * shifted, ps, axis=1), xs)
-    return float(num / denom)
+    base, shifted = displaced_overlaps(source, window, [(0.0, 0.0), (delta_x, delta_p)])
+    return float(shifted / base)
 
 
 def _check_sensitivity_window(source, window: GridWindow, dx: float, dp: float) -> None:
-    from .wigner import suggested_window
-
     need = suggested_window(source, tail_sigmas=5.0)
     if (
         window.x_min > need.x_min + min(dx, 0.0)
@@ -270,19 +253,10 @@ def overlap_decay_scan(
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
     ux, up = ux / norm, up / norm
-    xs = window.x_coords()
-    ps = window.p_coords()
-    base = _source_grid_separable(source, xs, ps)
-    denom = np.trapezoid(np.trapezoid(base * base, ps, axis=1), xs)
     ts = np.linspace(0.0, max_delta, steps)
-    out = np.empty(steps)
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            out[i] = 1.0
-            continue
-        shifted = _shifted_grid(source, window, ux * t, up * t)
-        out[i] = np.trapezoid(np.trapezoid(base * shifted, ps, axis=1), xs) / denom
-    return ts, out
+    # ts[0] = 0 reuses the unshifted factors, so O(0) is exactly 1
+    ov = displaced_overlaps(source, window, [(ux * t, up * t) for t in ts])
+    return ts, ov / ov[0]
 
 
 def last_half_crossing(ts: np.ndarray, overlaps: np.ndarray) -> float:
@@ -312,19 +286,21 @@ def half_overlap_displacement(
     distinguishable, which is the quantity compared across states here.
     """
     if max_delta is None:
-        xi = min(st.xi for st in _states_of(source))
-        hbar = _states_of(source)[0].constants.hbar
-        # envelope scale: e^{-d^2/(2 xi^2)} and e^{-d^2 xi^2/(2 hbar^2)} both
-        # pass 1/2 near 1.18 * max(xi, hbar/xi)
-        max_delta = 2.5 * max(xi, hbar / xi)
+        max_delta = default_scan_margin(source)
     ts, ov = overlap_decay_scan(source, window, direction, max_delta, steps)
     return last_half_crossing(ts, ov)
 
 
-def _states_of(source) -> list[StateSpec]:
-    if isinstance(source, MixtureSpec):
-        return [t.state for t in source.terms]
-    return [source]
+def default_scan_margin(source) -> float:
+    """Default scan reach 2.5 * max(xi, hbar/xi).
+
+    The envelope decays e^{-d^2/(2 xi^2)} and e^{-d^2 xi^2/(2 hbar^2)} both
+    pass 1/2 near 1.18 * max(xi, hbar/xi), so the scan ends well past them.
+    """
+    states = [t.state for t in source.terms] if isinstance(source, MixtureSpec) else [source]
+    xi = min(st.xi for st in states)
+    hbar = states[0].constants.hbar
+    return 2.5 * max(xi, hbar / xi)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,12 +285,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         f"subzurek wigner {scenario.describe()} source={args.source} "
         f"map={args.map} fringe={fringe:.17g}"
     ]
-    origin_value = (
-        wigner.eval_wigner(source, 0.0, 0.0)
-        if isinstance(source, StateSpec)
-        else wigner.eval_mixture(source, 0.0, 0.0)
-    )
-    print(f"W(0,0) = {origin_value:.17g}")
+    print(f"W(0,0) = {wigner.eval_wigner(source, 0.0, 0.0):.17g}")
     prefix = args.out or (args.preset or "wigner")
 
     if args.cut:
@@ -308,13 +303,18 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.grid:
         x0, x1, nx, p0, p1, npts = _parse_grid(args.grid)
         window = GridWindow(x0, x1, p0, p1, nx, npts)
-        np_rule = _rule_min_samples(p1 - p0, fringe)
-        if npts < np_rule and not args.allow_undersampled:
-            raise CliError(
-                f"grid has {npts} p-samples but the fringe rule needs {np_rule} "
-                f"({SAMPLES_PER_FRINGE} per fringe {fringe:.3e}); pass --allow-undersampled to override",
-                EXIT_UNDERSAMPLED,
-            )
+        gated = [("p", npts, p1 - p0)]
+        if isinstance(source, MixtureSpec):
+            # quarter-turned arms put the p fringes along x as well
+            gated.append(("x", nx, x1 - x0))
+        for axis, have, width in gated:
+            need = _rule_min_samples(width, fringe)
+            if have < need and not args.allow_undersampled:
+                raise CliError(
+                    f"grid has {have} {axis}-samples but the fringe rule needs {need} "
+                    f"({SAMPLES_PER_FRINGE} per fringe {fringe:.3e}); pass --allow-undersampled to override",
+                    EXIT_UNDERSAMPLED,
+                )
     else:
         window, undersampled = auto_window(scenario, source)
         if undersampled:
@@ -350,16 +350,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report = analysis.superosc_scale(crossings, L, P, constants)
         if len(state.components) >= 3:
             spill = analysis.overspill_check(state, constants)
-            report = analysis.ScaleReport(
-                L=report.L,
-                P=report.P,
-                a_Z=report.a_Z,
-                alpha_est=report.alpha_est,
-                a_SO_est=report.a_SO_est,
-                crossing_spacings=report.crossing_spacings,
-                overspill_lhs=spill.lhs,
-                overspill_rhs=spill.rhs,
-            )
+            report = replace(report, overspill_lhs=spill.lhs, overspill_rhs=spill.rhs)
             spill_note = (
                 f"overspill ratio = {spill.ratio:.6g} "
                 f"({'ok' if spill.satisfied else 'VIOLATED'})"
@@ -442,7 +433,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     source = scenario.build_source(args.source)
     direction = {"x": (1.0, 0.0), "p": (0.0, 1.0), "diag": (1.0, 1.0)}[args.direction]
     base = wigner.suggested_window(source, tail_sigmas=5.0)
-    margin = args.max_delta or 2.5 * max(scenario.xi, scenario.hbar / scenario.xi)
+    margin = args.max_delta or analysis.default_scan_margin(source)
     window = sensitivity_window(scenario, base, margin)
     ts, ov = analysis.overlap_decay_scan(source, window, direction, margin, args.steps or 161)
     scale = analysis.last_half_crossing(ts, ov)

@@ -29,7 +29,12 @@ def _fmt(v: float) -> str:
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-export-")
+    # mkstemp creates the file 0600 and the rename keeps it: give the output
+    # the mode a plain open() would, 0666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)

@@ -17,9 +17,20 @@ collapses the sum to the familiar three terms: half-weight spots at the two
 centers plus a full-amplitude cos(2 p dx / hbar) interference ridge at the
 midpoint.
 
-The pair structure makes grid evaluation separable: each pair is a rank-1
-outer product of an x-envelope vector and a p-phase vector.  The separable
-path and the literal pointwise path are both kept and must agree to 1e-12.
+Every evaluation runs through one factored core.  The pairs (j,k) and
+(k,j) are complex conjugates, so a pure state is a sum of R = m(m+1)/2 real
+terms, one per pair j <= k, and each term is a Gaussian in x times a
+Gaussian-enveloped plane wave in p.  The core turns a state into an x-factor
+matrix X (nx x R) and a p-factor matrix P (np x R) with W = X P^T; a
+mixture concatenates the factors of its terms, and a quarter-turned term
+swaps its two factors.  A grid is then one matrix product, a point or cut
+a row-wise sum of X * P, and a phase-space overlap on a trapezoid lattice a
+product of small R x R Gram matrices, with no grid built.
+
+pair_kernel evaluates one ordered pair as written above, and
+_pair_sum_complex sums it over all ordered pairs.  That complex sum shares
+no code with the core; it is the reference the core must match to 1e-12,
+and its imaginary part must cancel.
 """
 
 from __future__ import annotations
@@ -151,10 +162,6 @@ def rotate_point(x, p):
     return -p, x
 
 
-def _common_xi(state: StateSpec) -> float:
-    return state.xi  # raises on mixed widths
-
-
 def pair_kernel(
     comp_a: GaussianComponent,
     comp_b: GaussianComponent,
@@ -181,68 +188,81 @@ def pair_kernel(
 
 
 def _pair_sum_complex(state: StateSpec, x, p):
-    """Full ordered-pair kernel sum, complex; the imaginary part must cancel."""
-    xi = _common_xi(state)
+    """Sum of pair_kernel over all ordered pairs, complex; the imaginary part
+    must cancel.  It shares no code with the factored core and is the
+    reference that the core is checked against."""
+    comps = state.components
+    return sum(pair_kernel(a, b, x, p, state.constants) for a in comps for b in comps)
+
+
+# ---------------------------------------------------------------------------
+# factored core: W = X P^T
+
+def _state_factors(state: StateSpec, xs: np.ndarray, ps: np.ndarray):
+    """Real factors X (len(xs) x R), P (len(ps) x R) of one pure state, one
+    column per pair j <= k, so that W(x_i, p_l) = sum_r X[i, r] P[l, r]."""
+    xi = state.xi  # raises on mixed widths
     hbar = state.constants.hbar
-    centers = state.centers
-    coeffs = state.coeffs
-    xs = np.asarray(x, dtype=float)
-    ps = np.asarray(p, dtype=float)
-    acc = np.zeros(np.broadcast(xs, ps).shape, dtype=complex)
-    gp = np.exp(-(ps * ps) * xi * xi / (hbar * hbar))
-    n = len(centers)
-    for j in range(n):
-        for k in range(n):
-            a, b = centers[j], centers[k]
-            w = coeffs[j] * np.conj(coeffs[k])
-            acc = acc + w * np.exp(-((xs - 0.5 * (a + b)) ** 2) / (xi * xi)) * gp * np.exp(
-                1j * ps * (b - a) / hbar
-            )
-    return acc / (math.pi * hbar)
+    a, c = state.centers, state.coeffs
+    j, k = np.triu_indices(a.size)
+    # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
+    # double the off-diagonal real parts
+    w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
+    X = np.exp(-((xs[:, None] - 0.5 * (a[j] + a[k])) ** 2) / (xi * xi))
+    theta = ps[:, None] * ((a[k] - a[j]) / hbar)
+    g = np.exp(-(ps * ps) * xi * xi / (hbar * hbar)) / (math.pi * hbar)
+    P = (w.real * np.cos(theta) - w.imag * np.sin(theta)) * g[:, None]
+    return X, P
 
 
-def eval_wigner(state: StateSpec, x, p):
-    """W(x,p) for a shared-width Gaussian superposition, exact closed form.
+def _factors(source, xs: np.ndarray, ps: np.ndarray):
+    """Factors of a StateSpec or MixtureSpec; a mixture concatenates its terms'.
 
-    Exploits Hermitian pair symmetry: diagonal terms plus twice the real part
-    of each j < k term; O(m^2/2) kernel evaluations for m components.
-    Scalars in, float out; arrays broadcast.
+    A quarter-turned term W(-p, x) is its state's factors at (-p, x) with the
+    two factors swapped.
     """
-    xi = _common_xi(state)
-    hbar = state.constants.hbar
-    centers = state.centers
-    coeffs = state.coeffs
-    xs = np.asarray(x, dtype=float)
-    ps = np.asarray(p, dtype=float)
-    acc = np.zeros(np.broadcast(xs, ps).shape)
-    gp = np.exp(-(ps * ps) * xi * xi / (hbar * hbar))
-    m = len(centers)
-    for j in range(m):
-        aj, cj = centers[j], coeffs[j]
-        acc = acc + abs(cj) ** 2 * np.exp(-((xs - aj) ** 2) / (xi * xi)) * gp
-        for k in range(j + 1, m):
-            ak, ck = centers[k], coeffs[k]
-            w = cj * np.conj(ck)  # pair (j,k); k conjugated, phase +p*(a_k - a_j)
-            arg = ps * (ak - aj) / hbar
-            osc = 2.0 * (np.real(w) * np.cos(arg) - np.imag(w) * np.sin(arg))
-            acc = acc + np.exp(-((xs - 0.5 * (aj + ak)) ** 2) / (xi * xi)) * gp * osc
-    acc = acc / (math.pi * hbar)
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
-
-
-def eval_mixture(mix: MixtureSpec, x, p):
-    """Weighted sum of term evaluations; quarter-turn terms evaluate at (-p, x)."""
-    acc = None
-    for term in mix.terms:
+    if isinstance(source, StateSpec):
+        return _state_factors(source, xs, ps)
+    if not isinstance(source, MixtureSpec):
+        raise TypeError(f"source must be StateSpec or MixtureSpec, got {type(source)}")
+    x_blocks, p_blocks = [], []
+    for term in source.terms:
         if term.rotation == QUARTER_TURN:
-            xe, pe = rotate_point(x, p)
+            p_block, x_block = _state_factors(term.state, -ps, xs)
         else:
-            xe, pe = x, p
-        val = term.weight * eval_wigner(term.state, xe, pe)
-        acc = val if acc is None else acc + val
-    return acc
+            x_block, p_block = _state_factors(term.state, xs, ps)
+        x_blocks.append(x_block)
+        p_blocks.append(term.weight * p_block)
+    return np.hstack(x_blocks), np.hstack(p_blocks)
+
+
+_POINT_BLOCK = 256
+
+
+def eval_wigner(source, x, p):
+    """W(x,p) of a StateSpec or MixtureSpec, exact closed form.
+
+    Row-wise sums of X*P over the core, _POINT_BLOCK points at a time so
+    memory stays O(N).  Scalars in, float out; arrays broadcast.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape, p.shape))
+    flat = out.reshape(-1)
+    # a scalar coordinate, as on a cut, is factored once for every block
+    xs = x.reshape(1) if x.ndim == 0 else np.broadcast_to(x, out.shape).ravel()
+    ps = p.reshape(1) if p.ndim == 0 else np.broadcast_to(p, out.shape).ravel()
+    for i in range(0, flat.size, _POINT_BLOCK):
+        block = slice(i, i + _POINT_BLOCK)
+        X, P = _factors(source, xs if xs.size == 1 else xs[block], ps if ps.size == 1 else ps[block])
+        flat[block] = (X * P).sum(axis=1)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+# mixtures go through the same core; quarter-turn terms evaluate at (-p, x)
+eval_mixture = eval_wigner
 
 
 def wigner_bound(constants: PhysicalConstants) -> float:
@@ -250,87 +270,19 @@ def wigner_bound(constants: PhysicalConstants) -> float:
     return 1.0 / (math.pi * constants.hbar)
 
 
-# ---------------------------------------------------------------------------
-# grid evaluation
-
-def _state_grid_separable(state: StateSpec, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Rank-1 accumulation: per-pair x-envelope (outer) p-phase vectors.
-
-    Summation order is fixed (j, then k > j) so output is deterministic.
-    """
-    xi = _common_xi(state)
-    hbar = state.constants.hbar
-    centers = state.centers
-    coeffs = state.coeffs
-    gp = np.exp(-(ps * ps) * xi * xi / (hbar * hbar))
-    out = np.zeros((xs.size, ps.size))
-    m = len(centers)
-    for j in range(m):
-        aj, cj = centers[j], coeffs[j]
-        ex = np.exp(-((xs - aj) ** 2) / (xi * xi))
-        out += np.outer(ex, (abs(cj) ** 2) * gp)
-        for k in range(j + 1, m):
-            ak, ck = centers[k], coeffs[k]
-            w = cj * np.conj(ck)
-            arg = ps * (ak - aj) / hbar
-            osc = 2.0 * (np.real(w) * np.cos(arg) - np.imag(w) * np.sin(arg))
-            ex = np.exp(-((xs - 0.5 * (aj + ak)) ** 2) / (xi * xi))
-            out += np.outer(ex, osc * gp)
-    return out / (math.pi * hbar)
-
-
-def _source_grid_separable(source, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    if isinstance(source, StateSpec):
-        return _state_grid_separable(source, xs, ps)
-    out = np.zeros((xs.size, ps.size))
-    for term in source.terms:
-        if term.rotation == QUARTER_TURN:
-            # values[i, l] = W(-p_l, x_i): evaluate on the swapped lattice and
-            # transpose back; the separable form needs no monotone axes.
-            block = _state_grid_separable(term.state, -ps, xs).T
-        else:
-            block = _state_grid_separable(term.state, xs, ps)
-        out += term.weight * block
-    return out
-
-
-def _source_grid_pointwise(source, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    # direct kernel-sum evaluation per point (row-vectorized); no rank-1
-    # factorization, so it rounds independently of the separable path
-    evaluate = eval_wigner if isinstance(source, StateSpec) else eval_mixture
-    out = np.empty((xs.size, ps.size))
-    for i, xv in enumerate(xs):
-        out[i, :] = evaluate(source, float(xv), ps)
-    return out
-
-
-def eval_grid(source, window: GridWindow, method: str = "separable") -> PhaseSpaceGrid:
-    """Fill the lattice with W values for a StateSpec or MixtureSpec.
-
-    method="separable" (default) uses the rank-1 fast path; "pointwise"
-    evaluates every sample independently.  The two agree to 1e-12 absolute.
-    """
-    if not isinstance(source, (StateSpec, MixtureSpec)):
-        raise TypeError(f"source must be StateSpec or MixtureSpec, got {type(source)}")
-    xs = window.x_coords()
-    ps = window.p_coords()
-    if method == "separable":
-        values = _source_grid_separable(source, xs, ps)
-    elif method == "pointwise":
-        values = _source_grid_pointwise(source, xs, ps)
-    else:
-        raise ValueError(f"unknown grid method {method!r}")
-    return PhaseSpaceGrid(window=window, values=values)
+def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:
+    """Fill the lattice with W = X P^T for a StateSpec or MixtureSpec."""
+    X, P = _factors(source, window.x_coords(), window.p_coords())
+    return PhaseSpaceGrid(window=window, values=X @ P.T)
 
 
 def eval_cut(source, axis: str, coords: np.ndarray):
     """1-D cut through the origin: axis 'p' varies p at x=0, 'x' varies x at p=0."""
-    evaluate = eval_wigner if isinstance(source, StateSpec) else eval_mixture
     coords = np.asarray(coords, dtype=float)
     if axis == "p":
-        return evaluate(source, 0.0, coords)
+        return eval_wigner(source, 0.0, coords)
     if axis == "x":
-        return evaluate(source, coords, 0.0)
+        return eval_wigner(source, coords, 0.0)
     raise ValueError(f"cut axis must be 'x' or 'p', got {axis!r}")
 
 
@@ -374,6 +326,34 @@ def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalC
     xs = grid_a.x_coords()
     ps = grid_a.p_coords()
     return 2.0 * math.pi * constants.hbar * _trapz2d(grid_a.values * grid_b.values, xs, ps)
+
+
+def _trapezoid_weights(coords: np.ndarray) -> np.ndarray:
+    half_steps = 0.5 * np.diff(coords)
+    w = np.zeros(coords.size)
+    w[:-1] += half_steps
+    w[1:] += half_steps
+    return w
+
+
+def displaced_overlaps(source, window: GridWindow, shifts) -> np.ndarray:
+    """2 pi hbar int int W(x,p) W(x-dx, p-dp) dx dp for each (dx, dp) in shifts.
+
+    The same trapezoid rule as overlap() on the window's lattice, but no grid
+    is built: with W = X P^T and W_d = X' P'^T, the double sum is
+    sum((X^T diag(w_x) X') * (P^T diag(w_p) P')), X' and P' being the
+    factors at xs - dx and ps - dp.
+    """
+    xs = window.x_coords()
+    ps = window.p_coords()
+    X, P = _factors(source, xs, ps)
+    wX = (X * _trapezoid_weights(xs)[:, None]).T
+    wP = (P * _trapezoid_weights(ps)[:, None]).T
+    out = []
+    for dx, dp in shifts:
+        Xd, Pd = (X, P) if dx == 0.0 and dp == 0.0 else _factors(source, xs - dx, ps - dp)
+        out.append(np.sum((wX @ Xd) * (wP @ Pd)))
+    return 2.0 * math.pi * source.constants.hbar * np.array(out)
 
 
 def purity(source, window: GridWindow, constants: PhysicalConstants | None = None) -> float:

@@ -21,6 +21,7 @@ from subzurek.states import (
     StateSpec,
     build_cat,
     build_psi,
+    eval_psi,
 )
 from subzurek.superosc import SuperoscParams
 from subzurek.wigner import GridWindow, cross_state, integration_samples, suggested_window
@@ -215,6 +216,20 @@ class TestDisplacementSensitivity:
             a = displacement_sensitivity(mix, dx, dp, window)
             b = displacement_sensitivity(mix, -dp, dx, window)
             assert abs(a - b) <= 1e-4
+
+    def test_pure_scan_matches_wavefunction_overlap(self):
+        # for a pure state 2 pi hbar int W W_d = |<psi|D(d)|psi>|^2; the right
+        # side comes from psi alone by quadrature in x, with no phase-space grid
+        st = psi_state(4, 6.0, dx=6.0, xi=1.0)
+        window = product_window(st, 24.0, pad=2.5)
+        ts, ov = overlap_decay_scan(st, window, (1.0, 1.0), 2.5, steps=11)
+        x = np.linspace(-40.0, 40.0, 8001)
+        psi = eval_psi(st, x)
+        for t, got in zip(ts, ov):
+            d = t / math.sqrt(2)
+            shifted = np.exp(1j * d * x / CONST.hbar) * eval_psi(st, x - d)
+            want = abs(np.trapezoid(np.conj(psi) * shifted, x)) ** 2
+            assert abs(got - want) <= 1e-9
 
     def test_coverage_violation_rejected(self):
         st = build_cat(3.0, 1.0)

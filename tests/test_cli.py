@@ -133,6 +133,17 @@ class TestWigner:
         assert code == EXIT_UNDERSAMPLED
         assert "--allow-undersampled" in capsys.readouterr().err
 
+    def test_undersampled_x_axis_of_mixture_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the p axis passes the fringe rule, but the quarter-turned arm of the
+        # cross mixture fringes along x too
+        code = run(
+            ["wigner", "--preset", "fig2b", "--grid=-16:16:17,-4:4:8000"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_UNDERSAMPLED
+        assert "17 x-samples" in capsys.readouterr().err
+        assert not (tmp_path / "fig2b.csv").exists()
+
     def test_undersampled_override(self, tmp_path, monkeypatch):
         code = run(
             ["wigner", "--preset", "fig1", "--grid=-1:1:32,-1:1:32",

@@ -130,3 +130,12 @@ class TestAtomicWrite:
             atomic_write_bytes(str(target_dir / "x.bin"), b"payload")
         assert not target_dir.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.txt"
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(str(path), "data\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644

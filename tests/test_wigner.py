@@ -1,4 +1,6 @@
+import argparse
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from subzurek.states import (
     build_psi,
     eval_psi,
 )
+from subzurek.cli import cut_window, resolve_scenario
 from subzurek.superosc import SuperoscParams
 from subzurek.wigner import (
     IDENTITY,
@@ -21,6 +24,7 @@ from subzurek.wigner import (
     _pair_sum_complex,
     compass_mixture,
     cross_state,
+    eval_cut,
     eval_grid,
     eval_mixture,
     eval_wigner,
@@ -202,6 +206,19 @@ class TestMixture:
         assert min(on_axis) > 100 * abs(off_axis)
 
 
+def pair_sum_grid(source, window):
+    # real part of the full complex pair sum on the lattice, independent of
+    # the factored core; quarter-turned terms evaluate at (-p, x)
+    X, P = np.meshgrid(window.x_coords(), window.p_coords(), indexing="ij")
+    terms = source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),)
+    return sum(
+        t.weight * _pair_sum_complex(
+            t.state, *(rotate_point(X, P) if t.rotation == QUARTER_TURN else (X, P))
+        ).real
+        for t in terms
+    )
+
+
 class TestEvalGrid:
     def test_two_by_two_matches_pointwise_values(self):
         st = single_gaussian()
@@ -220,12 +237,11 @@ class TestEvalGrid:
         lambda: fig2a_state(),
         lambda: cross_state(fig2a_state()),
     ])
-    def test_separable_matches_pointwise(self, source_builder):
+    def test_factored_matches_pair_sum(self, source_builder):
         source = source_builder()
         window = GridWindow(-8.0, 8.0, -6.0, 6.0, 41, 37)
-        fast = eval_grid(source, window, method="separable")
-        naive = eval_grid(source, window, method="pointwise")
-        assert np.max(np.abs(fast.values - naive.values)) <= 1e-12
+        fast = eval_grid(source, window)
+        assert np.max(np.abs(fast.values - pair_sum_grid(source, window))) <= 1e-12
 
     def test_deterministic_rerun(self):
         st = fig1_state()
@@ -337,3 +353,21 @@ class TestCompassMixture:
         assert all(st.extent == 24.0 for st in states)
         rotations = {t.rotation for t in mix.terms}
         assert rotations == {IDENTITY, QUARTER_TURN}
+
+
+class TestEvalCut:
+    def test_memory_stays_linear_in_samples(self):
+        # the fig2c signed p-cut: 70,407 samples of a 182-term cross mixture;
+        # an unblocked point path would hold several samples x terms buffers
+        scenario = resolve_scenario(argparse.Namespace(preset="fig2c"))
+        width, samples = cut_window(scenario, "signed")
+        coords = np.linspace(-width / 2.0, width / 2.0, samples)
+        source = scenario.build_source()
+        tracemalloc.start()
+        try:
+            eval_cut(source, "p", coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples == 70407
+        assert peak <= 16 * 2**20
