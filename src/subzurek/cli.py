@@ -294,9 +294,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         values = wigner.eval_cut(source, args.cut, coords)
         if args.map == export.MAP_LOGABS:
             values = export.log_profile(values)
-        text = export.cut_to_csv(coords, values, args.cut, header + [f"cut={args.cut} width={width:.17g}"])
+        csv = export.cut_to_csv(coords, values, args.cut, header + [f"cut={args.cut} width={width:.17g}"])
         path = prefix + "_cut.csv"
-        export.atomic_write_text(path, text)
+        export.atomic_write_bytes(path, csv)
         print(f"wrote {path} ({samples} samples over width {width:.6g})")
         return EXIT_OK
 
@@ -327,7 +327,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     wrote = []
     if args.format in ("csv", "both"):
         path = prefix + ".csv"
-        export.atomic_write_text(path, export.grid_to_csv(grid, header))
+        export.atomic_write_bytes(path, export.grid_to_csv(grid, header))
         wrote.append(path)
     if args.format in ("pgm", "both"):
         path = prefix + ".pgm"
@@ -442,9 +442,9 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         f"subzurek sensitivity {scenario.describe()} direction={args.direction} "
         f"half_overlap_displacement={scale:.17g}"
     ]
-    text = export.cut_to_csv(ts, ov, "delta", header, value_label="overlap")
+    csv = export.cut_to_csv(ts, ov, "delta", header, value_label="overlap")
     path = prefix + "_sensitivity.csv"
-    export.atomic_write_text(path, text)
+    export.atomic_write_bytes(path, csv)
     print(f"half-overlap displacement scale = {scale:.6g}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -3,6 +3,11 @@
 All floats are written with %.17g (round-trip exact), all newlines are '\n',
 and every writer goes through a temp-file-then-rename so no partial output
 survives an error.  Identical inputs produce byte-identical files.
+
+The CSV serializers return a bytearray holding the whole file.  Rows of
+values are formatted in blocks of about _BLOCK_VALUES values, each block by
+one % operation on a template of repeated "%.17g" fields, and appended to
+that one buffer; the bytes are those of a per-value "%.17g" join.
 """
 
 from __future__ import annotations
@@ -48,18 +53,38 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> str:
+# values per % operation: enough to amortize the per-block work, few enough
+# that a block's Python floats and text stay a few MB
+_BLOCK_VALUES = 1 << 16
+
+
+def _append_rows(buf: bytearray, rows: np.ndarray) -> None:
+    """Append each row of a 2-D array as a line of %.17g values."""
+    nrows, ncols = rows.shape
+    row = ",".join(["%.17g"] * ncols)
+    step = max(1, _BLOCK_VALUES // ncols)
+    full = "\n".join([row] * step) + "\n"
+    for start in range(0, nrows, step):
+        block = rows[start : start + step]
+        template = full if len(block) == step else "\n".join([row] * len(block)) + "\n"
+        buf += (template % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _header(header_comments: list[str] | None, *lines: str) -> bytearray:
+    """A buffer holding the '# ' comment lines, then the given lines."""
+    text = "".join(f"# {c}\n" for c in header_comments or [])
+    text += "".join(f"{line}\n" for line in lines)
+    return bytearray(text.encode("utf-8"))
+
+
+def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> bytearray:
     """Serialize a grid: comment lines, the six-field lattice header row, then
     nx rows of np comma-separated values (row-major)."""
     w = grid.window
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append("x_min,x_max,p_min,p_max,nx,np")
-    lines.append(
-        ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
-    )
-    for row in grid.values:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    bounds = ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
+    buf = _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
+    _append_rows(buf, grid.values)
+    return buf
 
 
 def cut_to_csv(
@@ -68,13 +93,11 @@ def cut_to_csv(
     axis: str,
     header_comments: list[str] | None = None,
     value_label: str = "W",
-) -> str:
+) -> bytearray:
     """Serialize a 1-D profile as '<axis>,<value_label>' rows."""
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(f"{axis},{value_label}")
-    for c, v in zip(coords, values):
-        lines.append(f"{_fmt(c)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    buf = _header(header_comments, f"{axis},{value_label}")
+    _append_rows(buf, np.column_stack((coords, values)))
+    return buf
 
 
 def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, float]:

@@ -198,42 +198,62 @@ def _pair_sum_complex(state: StateSpec, x, p):
 # ---------------------------------------------------------------------------
 # factored core: W = X P^T
 
-def _state_factors(state: StateSpec, xs: np.ndarray, ps: np.ndarray):
-    """Real factors X (len(xs) x R), P (len(ps) x R) of one pure state, one
-    column per pair j <= k, so that W(x_i, p_l) = sum_r X[i, r] P[l, r]."""
+def _x_factor(state: StateSpec, xs: np.ndarray) -> np.ndarray:
+    """x-factor (len(xs) x R) of one pure state, one column per pair j <= k:
+    the Gaussian spot at the pair's midpoint."""
     xi = state.xi  # raises on mixed widths
+    a = state.centers
+    j, k = np.triu_indices(a.size)
+    return np.exp(-((xs[:, None] - 0.5 * (a[j] + a[k])) ** 2) / (xi * xi))
+
+
+def _p_factor(state: StateSpec, ps: np.ndarray) -> np.ndarray:
+    """p-factor (len(ps) x R) of one pure state, so that W(x_i, p_l) =
+    sum_r X[i, r] P[l, r] with X its _x_factor."""
+    xi = state.xi
     hbar = state.constants.hbar
     a, c = state.centers, state.coeffs
     j, k = np.triu_indices(a.size)
     # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
     # double the off-diagonal real parts
     w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
-    X = np.exp(-((xs[:, None] - 0.5 * (a[j] + a[k])) ** 2) / (xi * xi))
     theta = ps[:, None] * ((a[k] - a[j]) / hbar)
     g = np.exp(-(ps * ps) * xi * xi / (hbar * hbar)) / (math.pi * hbar)
-    P = (w.real * np.cos(theta) - w.imag * np.sin(theta)) * g[:, None]
-    return X, P
+    return (w.real * np.cos(theta) - w.imag * np.sin(theta)) * g[:, None]
+
+
+def _terms(source) -> tuple[MixtureTerm, ...]:
+    if isinstance(source, StateSpec):
+        return (MixtureTerm(source, 1.0, IDENTITY),)
+    if not isinstance(source, MixtureSpec):
+        raise TypeError(f"source must be StateSpec or MixtureSpec, got {type(source)}")
+    return source.terms
+
+
+def _x_side(source, xs: np.ndarray) -> np.ndarray:
+    """X of a StateSpec or MixtureSpec; a mixture concatenates its terms'.
+
+    A quarter-turned term W(-p, x) is its state's factors at (-p, x) with the
+    two factors swapped, so its x side is the state's p-factor at xs.
+    """
+    return np.hstack([
+        _p_factor(t.state, xs) if t.rotation == QUARTER_TURN else _x_factor(t.state, xs)
+        for t in _terms(source)
+    ])
+
+
+def _p_side(source, ps: np.ndarray) -> np.ndarray:
+    """P of a StateSpec or MixtureSpec, each term's block times its weight."""
+    return np.hstack([
+        t.weight * (_x_factor(t.state, -ps) if t.rotation == QUARTER_TURN else _p_factor(t.state, ps))
+        for t in _terms(source)
+    ])
 
 
 def _factors(source, xs: np.ndarray, ps: np.ndarray):
-    """Factors of a StateSpec or MixtureSpec; a mixture concatenates its terms'.
-
-    A quarter-turned term W(-p, x) is its state's factors at (-p, x) with the
-    two factors swapped.
-    """
-    if isinstance(source, StateSpec):
-        return _state_factors(source, xs, ps)
-    if not isinstance(source, MixtureSpec):
-        raise TypeError(f"source must be StateSpec or MixtureSpec, got {type(source)}")
-    x_blocks, p_blocks = [], []
-    for term in source.terms:
-        if term.rotation == QUARTER_TURN:
-            p_block, x_block = _state_factors(term.state, -ps, xs)
-        else:
-            x_block, p_block = _state_factors(term.state, xs, ps)
-        x_blocks.append(x_block)
-        p_blocks.append(term.weight * p_block)
-    return np.hstack(x_blocks), np.hstack(p_blocks)
+    """Real factors X (len(xs) x R), P (len(ps) x R) with W = X P^T.  X
+    depends on xs alone and P on ps alone, rotated terms included."""
+    return _x_side(source, xs), _p_side(source, ps)
 
 
 _POINT_BLOCK = 256
@@ -349,19 +369,19 @@ def displaced_overlaps(source, window: GridWindow, shifts) -> np.ndarray:
     X, P = _factors(source, xs, ps)
     wX = (X * _trapezoid_weights(xs)[:, None]).T
     wP = (P * _trapezoid_weights(ps)[:, None]).T
+    # X' is X when dx = 0 and P' is P when dp = 0: only a moving axis is rebuilt
+    gram_x, gram_p = wX @ X, wP @ P
     out = []
     for dx, dp in shifts:
-        Xd, Pd = (X, P) if dx == 0.0 and dp == 0.0 else _factors(source, xs - dx, ps - dp)
-        out.append(np.sum((wX @ Xd) * (wP @ Pd)))
+        gx = gram_x if dx == 0.0 else wX @ _x_side(source, xs - dx)
+        gp = gram_p if dp == 0.0 else wP @ _p_side(source, ps - dp)
+        out.append(np.sum(gx * gp))
     return 2.0 * math.pi * source.constants.hbar * np.array(out)
 
 
-def purity(source, window: GridWindow, constants: PhysicalConstants | None = None) -> float:
+def purity(source, window: GridWindow) -> float:
     """Self-overlap 2 pi hbar int int W^2 over the given window."""
-    if constants is None:
-        constants = source.constants
-    grid = eval_grid(source, window)
-    return overlap(grid, grid, constants)
+    return float(displaced_overlaps(source, window, [(0.0, 0.0)])[0])
 
 
 # ---------------------------------------------------------------------------

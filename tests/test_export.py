@@ -1,11 +1,17 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subzurek.export import (
     LOG_FLOOR,
+    _BLOCK_VALUES,
+    _append_rows,
     atomic_write_bytes,
     atomic_write_text,
     cut_to_csv,
@@ -15,7 +21,7 @@ from subzurek.export import (
     map_values,
 )
 from subzurek.states import GaussianComponent, PhysicalConstants, StateSpec
-from subzurek.wigner import GridWindow, eval_grid
+from subzurek.wigner import GridWindow, PhaseSpaceGrid, eval_grid
 
 
 def small_grid():
@@ -30,7 +36,7 @@ def small_grid():
 class TestCsv:
     def test_header_and_shape(self):
         grid = small_grid()
-        text = grid_to_csv(grid, ["cfg echo"])
+        text = grid_to_csv(grid, ["cfg echo"]).decode()
         lines = text.strip().split("\n")
         assert lines[0] == "# cfg echo"
         assert lines[1] == "x_min,x_max,p_min,p_max,nx,np"
@@ -41,7 +47,7 @@ class TestCsv:
 
     def test_round_trip_17_digits(self):
         grid = small_grid()
-        rows = grid_to_csv(grid).strip().split("\n")[2:]
+        rows = grid_to_csv(grid).decode().strip().split("\n")[2:]
         parsed = np.array([[float(v) for v in r.split(",")] for r in rows])
         assert np.array_equal(parsed, grid.values)
 
@@ -49,10 +55,81 @@ class TestCsv:
         assert grid_to_csv(small_grid()) == grid_to_csv(small_grid())
 
     def test_cut_csv_labels(self):
-        text = cut_to_csv(np.array([0.0, 1.0]), np.array([2.0, 3.0]), "p", value_label="overlap")
+        text = cut_to_csv(np.array([0.0, 1.0]), np.array([2.0, 3.0]), "p", value_label="overlap").decode()
         lines = text.strip().split("\n")
         assert lines[0] == "p,overlap"
         assert lines[1] == "0,2"
+
+
+def per_value_join(rows) -> bytes:
+    """The per-value formatting the block formatter must reproduce."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows).encode()
+
+
+def formatted(rows: np.ndarray) -> bytearray:
+    buf = bytearray()
+    _append_rows(buf, rows)
+    return buf
+
+
+# +-0, the smallest subnormal, the %g switch to exponent form at 1e-4 and
+# 1e17, and the non-finite values
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 9.9999e-5, 1e-4, 1e16, 1e17,
+           math.nan, math.inf, -math.inf, 0.1, -1.0 / 3.0, 123456789.0]
+
+
+class TestBlockFormatter:
+    def test_special_values(self):
+        rows = np.array([SPECIAL])
+        assert formatted(rows) == per_value_join(rows)
+        assert formatted(rows.T) == per_value_join(rows.T)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1)])
+    def test_thin_shapes(self, shape):
+        rows = np.resize(np.array(SPECIAL), shape)
+        assert formatted(rows) == per_value_join(rows)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_a_block(self, extra):
+        ncols = 3
+        nrows = _BLOCK_VALUES // ncols + extra
+        rows = np.random.default_rng(nrows).standard_normal((nrows, ncols))
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_grid_and_cut_match_per_value_join(self):
+        grid = small_grid()
+        w = grid.window
+        bounds = ",".join(f"{v:.17g}" for v in (w.x_min, w.x_max, w.p_min, w.p_max))
+        head = f"# note\nx_min,x_max,p_min,p_max,nx,np\n{bounds},9,7\n".encode()
+        assert grid_to_csv(grid, ["note"]) == head + per_value_join(grid.values)
+        coords, values = np.array(SPECIAL[:7]), np.array(SPECIAL[7:14])
+        expected = b"x,W\n" + per_value_join(zip(coords, values))
+        assert cut_to_csv(coords, values, "x") == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ))
+    def test_property_matches_per_value_join(self, rows):
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_grid_write_peak_memory(self, tmp_path):
+        # a 1536^2 grid writes about 54 MB of text; the returned buffer must
+        # be the only whole copy of it, not a list of rows, a joined str and
+        # its encoding (156 MB)
+        n = 1536
+        values = np.random.default_rng(7).standard_normal((n, n)) * 1e-3
+        grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, n, n), values)
+        tracemalloc.start()
+        try:
+            atomic_write_bytes(str(tmp_path / "grid.csv"), grid_to_csv(grid, ["peak"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "grid.csv").stat().st_size > 50e6
+        assert peak <= 80e6
 
 
 class TestValueMaps:

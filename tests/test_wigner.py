@@ -1,5 +1,8 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +16,7 @@ from subzurek.states import (
     build_psi,
     eval_psi,
 )
+import subzurek
 from subzurek.cli import cut_window, resolve_scenario
 from subzurek.superosc import SuperoscParams
 from subzurek.wigner import (
@@ -21,9 +25,11 @@ from subzurek.wigner import (
     GridWindow,
     MixtureSpec,
     MixtureTerm,
+    PhaseSpaceGrid,
     _pair_sum_complex,
     compass_mixture,
     cross_state,
+    displaced_overlaps,
     eval_cut,
     eval_grid,
     eval_mixture,
@@ -309,7 +315,7 @@ class TestOverlap:
     def test_pure_state_purity_is_one(self):
         st = single_gaussian()
         window = GridWindow(-8.0, 8.0, -8.0, 8.0, 321, 321)
-        assert purity(st, window, CONST) == pytest.approx(1.0, abs=1e-4)
+        assert purity(st, window) == pytest.approx(1.0, abs=1e-4)
 
     def test_displaced_gaussian_fidelity(self):
         xi = 1.0
@@ -329,14 +335,39 @@ class TestOverlap:
     def test_cross_state_purity_below_pure(self):
         st = fig2a_state()
         window = product_grid(cross_state(st), 24.0)
-        pure = purity(st, window, CONST)
-        mixed = purity(cross_state(st), window, CONST)
+        pure = purity(st, window)
+        mixed = purity(cross_state(st), window)
         assert mixed < pure
         # balanced mixture purity = 1/2 + |<psi|rot psi>|^2/2; the xi=sqrt(hbar)
         # origin component is rotation-invariant, so the branch overlap is
         # |c_0|^2 and the mixture keeps a small coherent excess over 1/2
         c0 = abs({c.center: c.coeff for c in st.components}[0.0]) ** 2
         assert mixed == pytest.approx(0.5 + c0**2 / 2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["fig2a", "compass"])
+    def test_purity_matches_grid_self_overlap(self, name):
+        source = fig2a_state() if name == "fig2a" else compass_mixture(12.0, 1.0, CONST)
+        window = product_grid(source, 12.0)
+        grid = eval_grid(source, window)
+        assert purity(source, window) == pytest.approx(overlap(grid, grid, CONST), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("axis", ["x", "p"])
+    def test_compass_displaced_overlaps_match_shifted_grids(self, axis):
+        # one axis stays put along x or p; its Gram product is reused
+        source = compass_mixture(6.0, 1.0, CONST)
+        window = GridWindow(-9.0, 9.0, -8.0, 8.0, 61, 53)
+        steps = [0.0, 0.3, 1.1, 2.5]
+        shifts = [(t, 0.0) if axis == "x" else (0.0, t) for t in steps]
+        base = eval_grid(source, window)
+        expected = []
+        for dx, dp in shifts:
+            moved = GridWindow(window.x_min - dx, window.x_max - dx,
+                               window.p_min - dp, window.p_max - dp, window.nx, window.np)
+            shifted = PhaseSpaceGrid(window, eval_grid(source, moved).values)
+            expected.append(overlap(base, shifted, CONST))
+        got = displaced_overlaps(source, window, shifts)
+        assert min(expected) < 0.5
+        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
 
     def test_lattice_mismatch_rejected(self):
         st = single_gaussian()
@@ -371,3 +402,28 @@ class TestEvalCut:
             tracemalloc.stop()
         assert samples == 70407
         assert peak <= 16 * 2**20
+
+
+GRID_DIGEST = """
+import argparse, hashlib
+from subzurek.cli import auto_window, resolve_scenario
+from subzurek.wigner import eval_grid
+scenario = resolve_scenario(argparse.Namespace(preset="fig2b"))
+source = scenario.build_source("cross")
+window, _ = auto_window(scenario, source)
+print(window.nx, window.np, hashlib.sha256(eval_grid(source, window).values.tobytes()).hexdigest())
+"""
+
+
+def test_grid_bytes_do_not_depend_on_blas_threads():
+    # the grid is one GEMM; its bytes must not change with the OpenBLAS
+    # thread count, or reruns on another machine would not reproduce files
+    src = os.path.dirname(os.path.dirname(subzurek.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", GRID_DIGEST], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        digests.append(run.stdout)
+    assert digests[0].startswith("1536 1536 ")
+    assert digests[0] == digests[1]
