@@ -110,10 +110,10 @@ def crossings_from_samples(coords: np.ndarray, values: np.ndarray) -> np.ndarray
     coords = np.asarray(coords, dtype=float)
     values = np.asarray(values, dtype=float)
     sign = np.sign(values)
-    # exact zeros inherit the preceding sign so a touch does not double-count
-    for i in range(1, sign.size):
-        if sign[i] == 0.0:
-            sign[i] = sign[i - 1]
+    # exact zeros inherit the preceding nonzero sign (leading zeros stay 0)
+    # so a touch does not double-count
+    last = np.maximum.accumulate(np.where(sign != 0.0, np.arange(sign.size), 0))
+    sign = sign[last]
     idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     frac = values[idx] / (values[idx] - values[idx + 1])
     return coords[idx] + frac * (coords[idx + 1] - coords[idx])
@@ -281,9 +281,14 @@ def half_overlap_displacement(
 
     The overlap of a fringed state oscillates through 1/2 many times; the
     fringe-phase positions of the early dips measure the fringe period, not
-    detectability.  The final down-crossing is set by the Gaussian component
-    envelope and is the gross scale beyond which the displaced state stays
-    distinguishable, which is the quantity compared across states here.
+    detectability.  The last crossing is meant as the gross scale beyond
+    which the displaced state stays distinguishable, and it is that when the
+    revivals of O(d) die out before the Gaussian component envelope does.
+    When they outlast it, the last crossing is the last revival to top 1/2,
+    a fringe phase: the compass (cat, delta_x = 12, cross) along the
+    diagonal revives to 0.52 near d = 1.1 and gives 1.136, against 0.199 for
+    fig2a along the diagonal.  Look at the scanned curve before comparing
+    such values across states.
     """
     if max_delta is None:
         max_delta = default_scan_margin(source)

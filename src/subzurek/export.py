@@ -5,13 +5,19 @@ and every writer goes through a temp-file-then-rename so no partial output
 survives an error.  Identical inputs produce byte-identical files.
 
 The CSV serializers return a bytearray holding the whole file.  Rows of
-values are formatted in blocks of about _BLOCK_VALUES values, each block by
-one % operation on a template of repeated "%.17g" fields, and appended to
-that one buffer; the bytes are those of a per-value "%.17g" join.
+values are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
+values and appended to that one buffer: each value's 17 significant digits
+come from an exact double-double product with a table of powers of ten, its
+characters go into a fixed-width record, and a keep mask per %g layout picks
+the ones "%.17g" writes.  Only nan, +-inf and values within 1e-9 of a
+rounding tie are formatted one by one with "%.17g".  The bytes are those of
+a per-value "%.17g" join.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import tempfile
 
@@ -53,21 +59,182 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-# values per % operation: enough to amortize the per-block work, few enough
-# that a block's Python floats and text stay a few MB
-_BLOCK_VALUES = 1 << 16
+# ---------------------------------------------------------------------------
+# %.17g by array arithmetic
+#
+# A finite nonzero |v| with decimal exponent X (10^X <= |v| < 10^(X+1)) has
+# the 17 significant digits N = round(|v| 10^(16-X)), 10^16 <= N <= 10^17,
+# where N = 10^17 is a carry into the next decade.  With |v| = m 2^e (frexp)
+# and 10^k tabulated as (H + L) 2^E, H in [0.5, 1) and L the next 53 bits,
+# |v| 10^k = (m H + m L) 2^(e+E); Dekker's split gives m H exactly as a
+# double-double, so the scaled value is good to about 2^-104 of itself, far
+# inside the 1e-9 guard that sends a near-tie (exact ties round half to even)
+# to the per-value "%.17g", as it does nan and +-inf.
+
+_K_MIN, _K_MAX = -300, 350  # 10^k for the 16 - X of every float64, with room
+_Q_BITS = 120  # bits of 10^k kept when tabulating H and L
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, L, E), indexed by k - _K_MIN, with 10^k = (H + L) 2^E to ~2^-106."""
+    h, lo, ex = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        e = num.bit_length() - den.bit_length()
+        if num << max(0, -e) >= den << max(0, e):
+            e += 1  # now 2^(e-1) <= 10^k < 2^e
+        shift = _Q_BITS - e
+        q = (num << shift) // den if shift >= 0 else (num >> -shift) // den
+        h.append(math.ldexp(q >> (_Q_BITS - 53), -53))
+        lo.append(math.ldexp(float(q & ((1 << (_Q_BITS - 53)) - 1)), -_Q_BITS))
+        ex.append(e)
+    return np.array(h), np.array(lo), np.array(ex, np.int32)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of a double into two 26-bit halves, a = hi + lo."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor (int64) and fraction of m 2^e 10^(16-x)."""
+    h, lo, ex = _pow10()
+    k = 16 - _K_MIN - x
+    hk = h.take(k)
+    top = m * hk
+    mh, ml = _split(m)
+    hh, hl = _split(hk)
+    err = ((mh * hh - top) + mh * hl + ml * hh) + ml * hl
+    shift = e + ex.take(k)  # int32: ldexp is much slower on int64
+    hi = np.ldexp(top, shift)
+    rest = np.ldexp(err + m * lo.take(k), shift)
+    whole = np.floor(hi)
+    rest += hi - whole
+    below = np.floor(rest)
+    return whole.astype(np.int64) + below.astype(np.int64), rest - below
+
+
+# A value's fixed-width record: its sign, the "0.000" of 1e-4 <= |v| < 1,
+# the 17 digits each followed by a decimal-point slot, "e", the exponent's
+# sign and three digits, and the separator.  A keep mask per (sign, layout,
+# significant digits) selects the characters %g writes.
+_SIGN, _ZEROS, _DIGITS, _EXP, _SEP = 0, 1, 6, 39, 44
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
+_WIDTH = _TEMPLATE.size
+# layouts: fixed for X = -4..16 (X + 4), then e+XX and e+XXX
+_LAYOUTS = 23
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as one uint32 each, and their
+    trailing-zero counts (4 for 0)."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    chars = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
+    zeros = np.cumprod(chars[:, ::-1] == ord("0"), axis=1, dtype=np.int8)
+    zeros = zeros.sum(axis=1, dtype=np.int8)
+    return chars.view(np.uint32).ravel(), zeros
+
+
+@functools.cache
+def _keep_masks() -> np.ndarray:
+    """Boolean masks of the record, one row per (negative, layout, s)."""
+    neg, layout, s = (a.reshape(-1, 1) for a in np.indices((2, _LAYOUTS, 17)))
+    s = s + 1
+    x = layout - 4
+    fixed = layout <= 20
+    pos = np.arange(_WIDTH)
+    i = (pos - _DIGITS) // 2  # the digit a digit or point slot belongs to
+    slot = (pos >= _DIGITS) & (pos < _EXP)
+    digit, point = slot & (pos % 2 == 0), slot & (pos % 2 == 1)
+    # fixed form shows every integer digit; a point follows the last one
+    shown = np.where(fixed & (x >= 0), np.maximum(s, x + 1), s)
+    point_after = np.where(fixed, x, 0)
+    exp = (pos == _EXP) | (pos == _EXP + 1) | (pos >= _EXP + 3 - (layout == 22)) & (pos < _SEP)
+    return (
+        (pos == _SIGN) & (neg == 1)
+        | (pos >= _ZEROS) & (pos < _DIGITS) & fixed & (pos - _ZEROS < 1 - x) & (x < 0)
+        | digit & (i < shown)
+        | point & (i == point_after) & (shown > i + 1)
+        | exp & ~fixed
+        | (pos == _SEP)
+    )
+
+
+def _format_values(v: np.ndarray, rec: np.ndarray) -> np.ndarray:
+    """The %.17g text (uint8) of each value of v, followed by its separator
+    in rec, whose variable characters it overwrites."""
+    n = v.size
+    rec = rec[:n]
+    a = np.abs(v)
+    finite = np.isfinite(v)
+    regular = finite & (a > 0.0)
+    a = np.where(regular, a, 1.0)
+    m, e = np.frexp(a)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(m, e, x)
+    # the log10 estimate of X can be one off next to a power of ten
+    low, high = np.flatnonzero(whole < 10**16), np.flatnonzero(whole >= 10**17)
+    for idx, step in ((low, -1), (high, 1)):
+        if idx.size:
+            x[idx] += step
+            whole[idx], frac[idx] = _scaled(m[idx], e[idx], x[idx])
+    tie = np.abs(frac - 0.5) < 1e-9
+    digits = whole + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    x += carry
+    digits = np.where(regular, digits, 0)  # +-0 prints as one digit, X = 0
+    x = np.where(regular, x, 0)
+
+    chars, zeros = _digit_tables()
+    lead, digits = np.divmod(digits, 10**16)
+    g = np.empty((n, 4), np.int64)
+    g[:, 0], digits = np.divmod(digits, 10**12)
+    g[:, 1], digits = np.divmod(digits, 10**8)
+    g[:, 2], g[:, 3] = np.divmod(digits, 10**4)
+    rec[:, _DIGITS] = lead + ord("0")
+    rec[:, _DIGITS + 2 : _EXP : 2] = chars.take(g).view(np.uint8)
+    # trailing zeros of the last 16 digits: a zero group passes the count on
+    z = zeros.take(g)
+    trailing = z[:, 0]
+    for col in (1, 2, 3):
+        trailing = z[:, col] + (g[:, col] == 0) * trailing
+    ax = np.abs(x)
+    rec[:, _EXP + 1 : _SEP] = chars.take(ax).view(np.uint8).reshape(n, 4)
+    rec[:, _EXP + 1] = np.where(x < 0, ord("-"), ord("+"))
+
+    layout = np.where((x < -4) | (x > 16), 21 + (ax >= 100), x + 4)
+    key = (np.signbit(v) * _LAYOUTS + layout) * 17 + (16 - trailing)
+    keep = _keep_masks().take(key, axis=0)
+    fallback = np.flatnonzero(~finite | tie)
+    for i in fallback:
+        text = b"%.17g" % v[i]
+        rec[i, : len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :_SEP] = np.arange(_SEP) < len(text)
+    text = np.compress(keep.ravel(), rec)
+    rec[fallback, :_SEP] = _TEMPLATE[:_SEP]
+    return text
+
+
+# values per block: enough to amortize the per-block numpy calls, few enough
+# that a block's records and temporaries stay a few MB
+_BLOCK_VALUES = 1 << 14
 
 
 def _append_rows(buf: bytearray, rows: np.ndarray) -> None:
     """Append each row of a 2-D array as a line of %.17g values."""
+    rows = np.asarray(rows, dtype=np.float64)
     nrows, ncols = rows.shape
-    row = ",".join(["%.17g"] * ncols)
     step = max(1, _BLOCK_VALUES // ncols)
-    full = "\n".join([row] * step) + "\n"
+    rec = np.tile(_TEMPLATE, (min(step, nrows), ncols, 1))
+    rec[:, -1, _SEP] = ord("\n")
+    rec = rec.reshape(-1, _WIDTH)
     for start in range(0, nrows, step):
-        block = rows[start : start + step]
-        template = full if len(block) == step else "\n".join([row] * len(block)) + "\n"
-        buf += (template % tuple(block.ravel().tolist())).encode("ascii")
+        buf += _format_values(rows[start : start + step].ravel(), rec).data
 
 
 def _header(header_comments: list[str] | None, *lines: str) -> bytearray:

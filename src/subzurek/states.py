@@ -23,6 +23,7 @@ i.e. (-i)^{-j} = conj((-i)^j), which makes coeff_{-j} = conj(coeff_j).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -78,15 +79,17 @@ class StateSpec:
         if len(self.components) == 0:
             raise ValueError("state must have at least one component")
 
-    @property
+    # computed on first access and kept; the arrays are read-only because
+    # every caller shares them
+    @functools.cached_property
     def centers(self) -> np.ndarray:
-        return np.array([c.center for c in self.components])
+        return _read_only(np.array([c.center for c in self.components]))
 
-    @property
+    @functools.cached_property
     def coeffs(self) -> np.ndarray:
-        return np.array([c.coeff for c in self.components], dtype=complex)
+        return _read_only(np.array([c.coeff for c in self.components], dtype=complex))
 
-    @property
+    @functools.cached_property
     def xi(self) -> float:
         """Common width of all components; raises on mixed widths."""
         xis = {c.xi for c in self.components}
@@ -99,6 +102,11 @@ class StateSpec:
         """Distance between the outermost component centers."""
         centers = self.centers
         return float(centers.max() - centers.min())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def norm_squared(state: StateSpec) -> float:

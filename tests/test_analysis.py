@@ -75,6 +75,29 @@ class TestCrossingDetector:
         dt = t[1] - t[0]
         assert np.max(np.abs(spacings - math.pi / kappa)) <= dt
 
+    def test_exact_zeros_inherit_the_preceding_sign(self):
+        # a leading zero, a run of zeros across a sign change (one crossing,
+        # at the last zero) and touches of zero that must not count
+        values = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.0, -1.0, -2.0, 0.0, -1.0, 1.0, 0.0, 3.0])
+        t = np.arange(values.size, dtype=float)
+        assert np.array_equal(crossings_from_samples(t, values), [5.0, 9.5])
+
+    def test_zero_runs_match_the_sample_loop(self):
+        def loop_crossings(coords, values):
+            sign = np.sign(values)
+            for i in range(1, sign.size):
+                if sign[i] == 0.0:
+                    sign[i] = sign[i - 1]
+            idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+            frac = values[idx] / (values[idx] - values[idx + 1])
+            return coords[idx] + frac * (coords[idx + 1] - coords[idx])
+
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            values = rng.integers(-2, 3, 200) * rng.uniform(0.5, 1.5, 200)
+            t = np.sort(rng.uniform(-1.0, 1.0, 200))
+            assert np.array_equal(crossings_from_samples(t, values), loop_crossings(t, values))
+
     def test_cat_cut_crossing_positions(self):
         # interference cos(6p): zeros at pi/12 + k pi/6, shifted by the
         # diagonal-term tail (cos(6p) = -e^{-9} at a zero, so dp = e^{-9}/6)

@@ -106,6 +106,57 @@ class TestBlockFormatter:
         expected = b"x,W\n" + per_value_join(zip(coords, values))
         assert cut_to_csv(coords, values, "x") == expected
 
+    @pytest.mark.parametrize("powers", [
+        [float(f"1e{k}") for k in range(-323, 309)],
+        [10.0**k for k in range(-323, 309)],
+    ], ids=["literals", "computed"])
+    def test_powers_of_ten_and_their_neighbours(self, powers):
+        # the decimal exponent is estimated from log10, which can be one off
+        # right next to a power of ten
+        p = np.array(powers)
+        rows = np.stack([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)], axis=1)
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_exponent_just_below_a_power_of_ten(self):
+        # 1e-302 is stored below 10^-302, so its digits start a decade lower
+        rows = np.array([[np.nextafter(1e-302, 0.0), 1e-302, 1e-4, 1e16]])
+        expected = b"9.9999999999999983e-303,9.9999999999999996e-303,0.0001,10000000000000000\n"
+        assert formatted(rows) == expected == per_value_join(rows)
+
+    def test_powers_of_two(self):
+        rows = np.ldexp(1.0, np.arange(-1074, 1024)).reshape(-1, 2)
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_exact_ties_round_half_to_even(self):
+        # 1 + 2^-17 = 1.00000762939453125 and 1 + 3 2^-17 = 1.00002288818359375
+        # sit exactly halfway between two 17-digit decimals
+        ties = [1 + 2**-17, 1 + 3 * 2**-17]
+        rows = np.array([ties + [-t for t in ties]])
+        expected = b"1.0000076293945312,1.0000228881835938,-1.0000076293945312,-1.0000228881835938\n"
+        assert formatted(rows) == expected == per_value_join(rows)
+
+    def test_all_zero_grid(self):
+        rows = np.zeros((5, 4))
+        rows[::2, 1::2] = -0.0
+        assert formatted(rows).startswith(b"0,-0,0,-0\n0,0,0,0\n")
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, (2000, 50), dtype=np.uint64)
+        rows = bits.view(np.float64)
+        assert formatted(rows) == per_value_join(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.uint64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        elements=st.integers(0, 2**64 - 1),
+    ))
+    def test_property_bit_patterns_match_per_value_join(self, bits):
+        # every float64, not only the round values st.floats() favours
+        rows = bits.view(np.float64)
+        assert formatted(rows) == per_value_join(rows)
+
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(
         np.float64,

@@ -192,6 +192,26 @@ class TestNormSquared:
             StateSpec(components=())
 
 
+class TestDerivedArrays:
+    def test_computed_once_and_read_only(self):
+        st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
+        assert st.centers is st.centers and st.coeffs is st.coeffs
+        assert st.centers.tolist() == [c.center for c in st.components]
+        with pytest.raises(ValueError, match="read-only"):
+            st.centers[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            st.coeffs[0] = 0.0
+
+    def test_mixed_xi_raises_on_every_access(self):
+        st = StateSpec(components=(
+            GaussianComponent(0.0, 1.0, 1.0 + 0j),
+            GaussianComponent(1.0, 2.0, 1.0 + 0j),
+        ))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mixed"):
+                st.xi
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
