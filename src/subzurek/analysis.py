@@ -92,11 +92,6 @@ def zurek_scale(L: float, P: float, constants: PhysicalConstants) -> float:
     return (h / P) * (h / L)
 
 
-def superosc_patch_scale(L: float, P: float, alpha: float, constants: PhysicalConstants) -> float:
-    """Patch area (h/(L alpha)) * (h/(P alpha)) = a_Z / alpha^2."""
-    return zurek_scale(L, P, constants) / (alpha * alpha)
-
-
 def recommended_cut_samples(
     window: float, L: float, alpha: float, constants: PhysicalConstants, per_fringe: int = 64
 ) -> int:

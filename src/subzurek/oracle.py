@@ -6,8 +6,12 @@ computed from
     W(x,p) = (1/pi hbar) int psi*(x+y) psi(x-y) e^{2ipy/hbar} dy
 
 by composite Simpson quadrature, with no reference to the pairwise kernel.
-Deliberately slow and simple; windows and sample counts follow printed
-criteria instead of adaptivity so failures are auditable.
+The rule is plain composite Simpson; windows and sample counts follow printed
+criteria instead of adaptivity so failures are auditable.  The lattice is
+symmetric about y = 0, so psi is evaluated once per point and read backwards
+for psi(x-y).  On that lattice the integrand at -y is the conjugate of the
+integrand at +y, so the imaginary part cancels pairwise and only checks
+roundoff.
 
 For shared-width Gaussian superpositions the integrand's y-support is set by
 the component centers and width alone: each (j,k) product term is a width-xi
@@ -87,6 +91,12 @@ def _simpson(values: np.ndarray, h: float):
     weights = np.ones(values.shape[-1])
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
+    if np.iscomplexobj(values):
+        # one real matrix-vector product over the (re, im) float pairs,
+        # instead of a complex product with the weights cast to complex
+        pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+        re, im = pairs.T @ weights
+        return complex(re, im) * (h / 3.0)
     return (values @ weights) * (h / 3.0)
 
 
@@ -108,13 +118,13 @@ def wigner_quadrature_parts(
             )
     _check_window(state, quad)
     hbar = state.constants.hbar
-    y = np.linspace(-quad.y_halfwidth, quad.y_halfwidth, quad.n_points + 1)
-    integrand = (
-        np.conj(eval_psi(state, x + y))
-        * eval_psi(state, x - y)
-        * np.exp(2j * p * y / hbar)
-    )
+    half = quad.n_points // 2
     h = 2.0 * quad.y_halfwidth / quad.n_points
+    # integer multiples of h make the lattice exactly symmetric, y[n - k] ==
+    # -y[k], so psi(x - y) is psi(x + y) reversed and psi is evaluated once
+    y = h * np.arange(-half, half + 1)
+    f = eval_psi(state, x + y)
+    integrand = np.conj(f) * f[::-1] * np.exp(2j * p * y / hbar)
     total = _simpson(integrand, h) / (math.pi * hbar)
     return float(np.real(total)), float(np.imag(total))
 

@@ -128,6 +128,72 @@ class TestConvergence:
         assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.05)
 
 
+def _two_call_quadrature(state, x, p):
+    """Reference oracle: linspace lattice, psi evaluated at x+y and at x-y."""
+    quad = default_quadrature(state, p)
+    hbar = state.constants.hbar
+    y = np.linspace(-quad.y_halfwidth, quad.y_halfwidth, quad.n_points + 1)
+    integrand = (
+        np.conj(eval_psi(state, x + y)) * eval_psi(state, x - y) * np.exp(2j * p * y / hbar)
+    )
+    w = np.ones(y.size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    h = 2.0 * quad.y_halfwidth / quad.n_points
+    total = (integrand @ w) * (h / 3.0) / (math.pi * hbar)
+    return float(total.real)
+
+
+class TestComplexSimpson:
+    # integer-valued samples make every partial sum exact, so the sum is the
+    # same in any order and the comparison checks the (re, im) pairing only
+    @pytest.mark.parametrize("size", [3, 17, 1025, 65537])
+    def test_matches_real_and_imaginary_sums(self, size):
+        rng = np.random.default_rng(size)
+        v = rng.integers(-1000, 1000, size) + 1j * rng.integers(-1000, 1000, size)
+        for vv in (v, v[::2]):
+            got = _simpson(vv, 0.3)
+            ref = complex(_simpson(vv.real, 0.3), _simpson(vv.imag, 0.3))
+            ulp = np.spacing(max(abs(ref.real), abs(ref.imag)))
+            assert abs(got.real - ref.real) <= ulp
+            assert abs(got.imag - ref.imag) <= ulp
+
+
+class TestSymmetricLattice:
+    STATES = {
+        "fig1": lambda: build_psi(SuperoscParams(8, 10.0), 3.0, 0.25),
+        "fig2b": lambda: build_psi(SuperoscParams(12, 10.0), 3.0, 0.25),
+        "cat": lambda: build_cat(3.0, 1.0),
+        "comb_n12_alpha16": lambda: build_psi(SuperoscParams(12, 16.0), 3.0, 0.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_matches_two_call_linspace_form(self, name):
+        st = self.STATES[name]()
+        half = float(np.max(np.abs(st.centers)))
+        rng = np.random.default_rng(2026)
+        for _ in range(6):
+            x = float(rng.uniform(-half - 2 * st.xi, half + 2 * st.xi))
+            p = float(rng.uniform(-3.5 / st.xi, 3.5 / st.xi))
+            assert abs(wigner_quadrature(st, x, p) - _two_call_quadrature(st, x, p)) <= 1e-14
+
+    def test_one_psi_evaluation_per_point(self, monkeypatch):
+        import subzurek.oracle as oracle_mod
+
+        calls = []
+
+        def counting(state, x):
+            calls.append(np.shape(x))
+            return eval_psi(state, x)
+
+        monkeypatch.setattr(oracle_mod, "eval_psi", counting)
+        st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
+        for k, (x, p) in enumerate(((0.0, 0.0), (1.3, -2.1), (-4.0, 7.5)), start=1):
+            wigner_quadrature(st, x, p)
+            assert len(calls) == k
+            assert calls[-1] == (default_quadrature(st, p).n_points + 1,)
+
+
 class TestNormQuadrature:
     def test_normalized_single_gaussian(self):
         assert abs(norm_quadrature(single_gaussian()) - 1.0) <= 1e-10

@@ -161,6 +161,69 @@ class TestEvalPsi:
         assert np.all(np.abs(eval_psi(st, xs)) ** 2 >= 0.0)
 
 
+def _psi_every_exp(state, x):
+    """Reference psi: the per-component loop taking exp of every argument."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros(xs.shape, dtype=complex)
+    for comp in state.components:
+        amp = (math.pi * comp.xi**2) ** -0.25
+        out += comp.coeff * amp * np.exp(-((xs - comp.center) ** 2) / (2.0 * comp.xi**2))
+    if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
+        return complex(out)
+    return out
+
+
+def _underflow_edge(state, rng):
+    # per component, points whose exponent -(x-c)^2/(2 xi^2) runs across
+    # -744...-747, where float64 exp goes from subnormal to exactly zero
+    t = np.linspace(744.0, 747.0, 301)
+    pts = [c + s * state.xi * np.sqrt(2.0 * t) for c in state.centers for s in (-1.0, 1.0)]
+    return rng.permutation(np.concatenate(pts + [np.linspace(-40.0, 40.0, 4001)]))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).reshape(-1).view(np.uint64)
+
+
+class TestEvalPsiBitwise:
+    """Skipping exp where it is exactly zero must not change a single bit."""
+
+    STATES = {
+        "cat": lambda: build_cat(3.0, 0.25, PhysicalConstants(hbar=0.7)),
+        "comb_n12": lambda: build_psi(
+            SuperoscParams(12, 16.0), 3.0, 0.25, PhysicalConstants(hbar=0.7)
+        ),
+    }
+
+    @pytest.fixture(params=sorted(STATES))
+    def state(self, request):
+        return self.STATES[request.param]()
+
+    def test_unsorted_1d_across_underflow_edge(self, state):
+        xs = _underflow_edge(state, np.random.default_rng(7))
+        assert np.array_equal(_bits(eval_psi(state, xs)), _bits(_psi_every_exp(state, xs)))
+
+    def test_2d_input_keeps_shape(self, state):
+        xs = _underflow_edge(state, np.random.default_rng(8))[:4000].reshape(80, 50)
+        got = eval_psi(state, xs)
+        assert got.shape == (80, 50)
+        assert np.array_equal(_bits(got), _bits(_psi_every_exp(state, xs)))
+
+    def test_scalar_and_0d_inputs(self, state):
+        edge = _underflow_edge(state, np.random.default_rng(9))
+        for x in (0.0, float(state.centers[-1]), *edge[:25].tolist()):
+            for arg in (x, np.float64(x), np.array(x)):
+                got = eval_psi(state, arg)
+                assert isinstance(got, complex)
+                assert np.array_equal(_bits(got), _bits(_psi_every_exp(state, arg)))
+
+    def test_nonfinite_inputs_propagate(self, state):
+        xs = np.array([np.nan, np.inf, -np.inf, 0.0])
+        got = eval_psi(state, xs)
+        assert np.isnan(got[0].real) and np.isnan(got[0].imag)
+        assert np.array_equal(_bits(got[1:]), _bits(_psi_every_exp(state, xs[1:])))
+
+
 class TestNormSquared:
     def test_unit_single_component(self):
         assert norm_squared(single_gaussian()) == pytest.approx(1.0, abs=1e-15)
