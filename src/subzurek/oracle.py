@@ -91,12 +91,6 @@ def _simpson(values: np.ndarray, h: float):
     weights = np.ones(values.shape[-1])
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    if np.iscomplexobj(values):
-        # one real matrix-vector product over the (re, im) float pairs,
-        # instead of a complex product with the weights cast to complex
-        pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2)
-        re, im = pairs.T @ weights
-        return complex(re, im) * (h / 3.0)
     return (values @ weights) * (h / 3.0)
 
 

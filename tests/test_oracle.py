@@ -144,21 +144,6 @@ def _two_call_quadrature(state, x, p):
     return float(total.real)
 
 
-class TestComplexSimpson:
-    # integer-valued samples make every partial sum exact, so the sum is the
-    # same in any order and the comparison checks the (re, im) pairing only
-    @pytest.mark.parametrize("size", [3, 17, 1025, 65537])
-    def test_matches_real_and_imaginary_sums(self, size):
-        rng = np.random.default_rng(size)
-        v = rng.integers(-1000, 1000, size) + 1j * rng.integers(-1000, 1000, size)
-        for vv in (v, v[::2]):
-            got = _simpson(vv, 0.3)
-            ref = complex(_simpson(vv.real, 0.3), _simpson(vv.imag, 0.3))
-            ulp = np.spacing(max(abs(ref.real), abs(ref.imag)))
-            assert abs(got.real - ref.real) <= ulp
-            assert abs(got.imag - ref.imag) <= ulp
-
-
 class TestSymmetricLattice:
     STATES = {
         "fig1": lambda: build_psi(SuperoscParams(8, 10.0), 3.0, 0.25),
