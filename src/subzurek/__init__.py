@@ -35,7 +35,6 @@ from .wigner import (
     compass_mixture,
     cross_state,
     eval_grid,
-    eval_mixture,
     eval_wigner,
     finest_fringe,
     marginal_x,
@@ -83,7 +82,6 @@ __all__ = [
     "eval_f_direct",
     "eval_f_fourier",
     "eval_grid",
-    "eval_mixture",
     "eval_psi",
     "eval_wigner",
     "finest_fringe",

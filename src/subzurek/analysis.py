@@ -18,7 +18,8 @@ the two neighboring Gaussians.
 The displacement-sensitivity diagnostic quantifies the flip side: overlap
 decay under phase-space displacement is governed by the envelope set by the
 bulk components, not by the superoscillatory patch, so the detection scale
-shows no alpha-fold gain.
+shows no alpha-fold gain.  The overlaps are exact integrals over the whole
+plane (wigner.displaced_overlaps), so a scan needs no window.
 """
 
 from __future__ import annotations
@@ -30,15 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PhysicalConstants, StateSpec
-from .wigner import (
-    GridWindow,
-    MixtureSpec,
-    displaced_overlaps,
-    eval_cut,
-    eval_wigner,
-    pair_kernel,
-    suggested_window,
-)
+from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, pair_kernel
 
 OVERSPILL_WARN_RATIO = 0.1
 _RHS_FLOOR = 1e-280
@@ -204,40 +197,19 @@ def overspill_check(state: StateSpec, constants: PhysicalConstants | None = None
 # ---------------------------------------------------------------------------
 # displacement sensitivity
 
-def displacement_sensitivity(
-    source, delta_x: float, delta_p: float, window: GridWindow
-) -> float:
-    """Normalized overlap O(d) = <W, W_shifted> / <W, W> on the window.
+def displacement_sensitivity(source, delta_x: float, delta_p: float) -> float:
+    """Normalized overlap O(d) = <W, W_shifted> / <W, W>.
 
     O(0) = 1 exactly; for a single Gaussian displaced in x it equals
     e^{-dx^2/(2 xi^2)}.
     """
-    _check_sensitivity_window(source, window, delta_x, delta_p)
-    if delta_x == 0.0 and delta_p == 0.0:
-        return 1.0
-    base, shifted = displaced_overlaps(source, window, [(0.0, 0.0), (delta_x, delta_p)])
+    # a zero shift reuses both unshifted Gram matrices, so O(0) is exactly 1
+    base, shifted = displaced_overlaps(source, [(0.0, 0.0), (delta_x, delta_p)])
     return float(shifted / base)
-
-
-def _check_sensitivity_window(source, window: GridWindow, dx: float, dp: float) -> None:
-    need = suggested_window(source, tail_sigmas=5.0)
-    if (
-        window.x_min > need.x_min + min(dx, 0.0)
-        or window.x_max < need.x_max + max(dx, 0.0)
-        or window.p_min > need.p_min + min(dp, 0.0)
-        or window.p_max < need.p_max + max(dp, 0.0)
-    ):
-        raise ValueError(
-            "sensitivity window does not cover both the original and the "
-            f"displaced distribution (need at least x in [{need.x_min - abs(dx):.3g}, "
-            f"{need.x_max + abs(dx):.3g}], p in [{need.p_min - abs(dp):.3g}, "
-            f"{need.p_max + abs(dp):.3g}])"
-        )
 
 
 def overlap_decay_scan(
     source,
-    window: GridWindow,
     direction: tuple[float, float],
     max_delta: float,
     steps: int = 161,
@@ -247,10 +219,12 @@ def overlap_decay_scan(
     norm = math.hypot(ux, up)
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
+    if not (math.isfinite(max_delta) and max_delta > 0.0 and steps >= 2):
+        raise ValueError(f"scan needs finite max_delta > 0, steps >= 2, got {max_delta}, {steps}")
     ux, up = ux / norm, up / norm
     ts = np.linspace(0.0, max_delta, steps)
-    # ts[0] = 0 reuses the unshifted factors, so O(0) is exactly 1
-    ov = displaced_overlaps(source, window, [(ux * t, up * t) for t in ts])
+    # ts[0] = 0 reuses the unshifted Gram matrices, so O(0) is exactly 1
+    ov = displaced_overlaps(source, [(ux * t, up * t) for t in ts])
     return ts, ov / ov[0]
 
 
@@ -267,7 +241,6 @@ def last_half_crossing(ts: np.ndarray, overlaps: np.ndarray) -> float:
 
 def half_overlap_displacement(
     source,
-    window: GridWindow,
     direction: tuple[float, float] = (0.0, 1.0),
     max_delta: float | None = None,
     steps: int = 161,
@@ -287,7 +260,7 @@ def half_overlap_displacement(
     """
     if max_delta is None:
         max_delta = default_scan_margin(source)
-    ts, ov = overlap_decay_scan(source, window, direction, max_delta, steps)
+    ts, ov = overlap_decay_scan(source, direction, max_delta, steps)
     return last_half_crossing(ts, ov)
 
 

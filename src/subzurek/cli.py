@@ -234,20 +234,6 @@ def cut_window(scenario: Scenario, mapping: str) -> tuple[float, int]:
     return width, samples
 
 
-def sensitivity_window(scenario: Scenario, base: GridWindow, margin: float) -> GridWindow:
-    """Window padded for displacement scans, sampled at the W*W band limit."""
-    L = scenario.extent_L
-    hbar = scenario.hbar
-    xi = scenario.xi
-    width_x = base.x_max - base.x_min + 2 * margin
-    width_p = base.p_max - base.p_min + 2 * margin
-    nx = max(257, wigner.integration_samples(width_x, 2 * L / hbar, xi / math.sqrt(2)))
-    npts = max(257, wigner.integration_samples(width_p, 2 * L / hbar, hbar / xi / math.sqrt(2)))
-    return GridWindow(
-        base.x_min - margin, base.x_max + margin, base.p_min - margin, base.p_max + margin, nx, npts
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -432,10 +418,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args)
     source = scenario.build_source(args.source)
     direction = {"x": (1.0, 0.0), "p": (0.0, 1.0), "diag": (1.0, 1.0)}[args.direction]
-    base = wigner.suggested_window(source, tail_sigmas=5.0)
-    margin = args.max_delta or analysis.default_scan_margin(source)
-    window = sensitivity_window(scenario, base, margin)
-    ts, ov = analysis.overlap_decay_scan(source, window, direction, margin, args.steps or 161)
+    margin = analysis.default_scan_margin(source) if args.max_delta is None else args.max_delta
+    ts, ov = analysis.overlap_decay_scan(
+        source, direction, margin, 161 if args.steps is None else args.steps
+    )
     scale = analysis.last_half_crossing(ts, ov)
     prefix = args.out or (args.preset or "sensitivity")
     header = [

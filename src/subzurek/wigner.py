@@ -23,9 +23,11 @@ terms, one per pair j <= k, and each term is a Gaussian in x times a
 Gaussian-enveloped plane wave in p.  The core turns a state into an x-factor
 matrix X (nx x R) and a p-factor matrix P (np x R) with W = X P^T; a
 mixture concatenates the factors of its terms, and a quarter-turned term
-swaps its two factors.  A grid is then one matrix product, a point or cut
-a row-wise sum of X * P, and a phase-space overlap on a trapezoid lattice a
-product of small R x R Gram matrices, with no grid built.
+swaps its two factors.  A grid is then one matrix product and a point or
+cut a row-wise sum of X * P.  Every factor column has the form
+A e^{-(t-mu)^2/sigma^2} cos(omega t + phi), so a phase-space overlap, shifted
+or not, is a product of small R x R Gram matrices whose entries are exact
+Gaussian integrals over the real line: no grid, window or sampling rule.
 
 pair_kernel evaluates one ordered pair as written above, and
 _pair_sum_complex sums it over all ordered pairs.  That complex sum shares
@@ -198,13 +200,23 @@ def _pair_sum_complex(state: StateSpec, x, p):
 # ---------------------------------------------------------------------------
 # factored core: W = X P^T
 
+def _pairs(state: StateSpec):
+    """Per-pair data of one pure state, one entry per pair j <= k: the
+    midpoint (a_j+a_k)/2, the frequency (a_k-a_j)/hbar and the weight w."""
+    a, c = state.centers, state.coeffs
+    j, k = np.triu_indices(a.size)
+    # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
+    # double the off-diagonal real parts
+    w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
+    return 0.5 * (a[j] + a[k]), (a[k] - a[j]) / state.constants.hbar, w
+
+
 def _x_factor(state: StateSpec, xs: np.ndarray) -> np.ndarray:
     """x-factor (len(xs) x R) of one pure state, one column per pair j <= k:
     the Gaussian spot at the pair's midpoint."""
     xi = state.xi  # raises on mixed widths
-    a = state.centers
-    j, k = np.triu_indices(a.size)
-    return np.exp(-((xs[:, None] - 0.5 * (a[j] + a[k])) ** 2) / (xi * xi))
+    mid = _pairs(state)[0]
+    return np.exp(-((xs[:, None] - mid) ** 2) / (xi * xi))
 
 
 def _p_factor(state: StateSpec, ps: np.ndarray) -> np.ndarray:
@@ -212,12 +224,8 @@ def _p_factor(state: StateSpec, ps: np.ndarray) -> np.ndarray:
     sum_r X[i, r] P[l, r] with X its _x_factor."""
     xi = state.xi
     hbar = state.constants.hbar
-    a, c = state.centers, state.coeffs
-    j, k = np.triu_indices(a.size)
-    # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
-    # double the off-diagonal real parts
-    w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
-    theta = ps[:, None] * ((a[k] - a[j]) / hbar)
+    _, freq, w = _pairs(state)
+    theta = ps[:, None] * freq
     g = np.exp(-(ps * ps) * xi * xi / (hbar * hbar)) / (math.pi * hbar)
     return (w.real * np.cos(theta) - w.imag * np.sin(theta)) * g[:, None]
 
@@ -279,10 +287,6 @@ def eval_wigner(source, x, p):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-# mixtures go through the same core; quarter-turn terms evaluate at (-p, x)
-eval_mixture = eval_wigner
 
 
 def wigner_bound(constants: PhysicalConstants) -> float:
@@ -348,40 +352,74 @@ def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalC
     return 2.0 * math.pi * constants.hbar * _trapz2d(grid_a.values * grid_b.values, xs, ps)
 
 
-def _trapezoid_weights(coords: np.ndarray) -> np.ndarray:
-    half_steps = 0.5 * np.diff(coords)
-    w = np.zeros(coords.size)
-    w[:-1] += half_steps
-    w[1:] += half_steps
-    return w
+# ---------------------------------------------------------------------------
+# exact overlaps: closed-form Gram matrices of the factor columns
 
+def _columns(source):
+    """Parameters (5 x R) of the X and of the P columns of a StateSpec or
+    MixtureSpec, in the order of _x_side and _p_side.
 
-def displaced_overlaps(source, window: GridWindow, shifts) -> np.ndarray:
-    """2 pi hbar int int W(x,p) W(x-dx, p-dp) dx dp for each (dx, dp) in shifts.
-
-    The same trapezoid rule as overlap() on the window's lattice, but no grid
-    is built: with W = X P^T and W_d = X' P'^T, the double sum is
-    sum((X^T diag(w_x) X') * (P^T diag(w_p) P')), X' and P' being the
-    factors at xs - dx and ps - dp.
+    Rows are A, mu, sigma, omega, phi, column r being
+    A e^{-(t-mu)^2/sigma^2} cos(omega t + phi): the x factor is the midpoint
+    spot, and the p factor Re(w e^{i omega p}) g(p) is |w| cos(omega p + arg w)
+    g(p), its A carrying the term's weight.  A quarter-turned term swaps the
+    two and mirrors its new p side; the overlap sees only the product.
     """
-    xs = window.x_coords()
-    ps = window.p_coords()
-    X, P = _factors(source, xs, ps)
-    wX = (X * _trapezoid_weights(xs)[:, None]).T
-    wP = (P * _trapezoid_weights(ps)[:, None]).T
-    # X' is X when dx = 0 and P' is P when dp = 0: only a moving axis is rebuilt
-    gram_x, gram_p = wX @ X, wP @ P
+    xs, ps = [], []
+    for t in _terms(source):
+        xi, hbar = t.state.xi, t.state.constants.hbar
+        mid, freq, w = _pairs(t.state)
+        one, zero = np.ones(mid.size), np.zeros(mid.size)
+        x = np.array([one, mid, xi * one, zero, zero])
+        p = np.array([t.weight * np.abs(w) / (math.pi * hbar), zero, hbar / xi * one, freq,
+                      np.angle(w)])
+        if t.rotation == QUARTER_TURN:
+            x, p = p, x * [[1.0], [-1.0], [1.0], [1.0], [1.0]]  # the x factor at -p
+        xs.append(x)
+        ps.append(p)
+    return np.hstack(xs), np.hstack(ps)
+
+
+def _gram(cols: np.ndarray, d: float = 0.0) -> np.ndarray:
+    """G[r, s] = int f_r(t) f_s(t - d) dt over the real line, in closed form.
+
+    The shift maps mu_s to mu_s + d and phi_s to phi_s - omega_s d.  Each wave
+    (Omega, Phi) = (omega_r +- omega_s, phi_r +- phi_s) of the cosine product
+    adds A_r A_s sqrt(pi/a) e^{-(mu_r-mu_s)^2/(sigma_r^2+sigma_s^2)}
+    e^{-Omega^2/4a} cos(Phi + b Omega/2a) / 2, with a = 1/sigma_r^2 +
+    1/sigma_s^2 and b = 2 mu_r/sigma_r^2 + 2 mu_s/sigma_s^2.
+    """
+    a1, m1, s1, w1, f1 = cols[:, :, None]
+    a2, m2, s2, w2, f2 = cols[:, None, :]
+    m2, f2 = m2 + d, f2 - w2 * d
+    a = 1.0 / (s1 * s1) + 1.0 / (s2 * s2)
+    b = 2.0 * m1 / (s1 * s1) + 2.0 * m2 / (s2 * s2)
+    waves = sum(
+        np.exp(-(omega * omega) / (4.0 * a)) * np.cos(phi + b * omega / (2.0 * a))
+        for omega, phi in ((w1 + w2, f1 + f2), (w1 - w2, f1 - f2))
+    )
+    gauss = np.exp(-((m1 - m2) ** 2) / (s1 * s1 + s2 * s2))
+    return 0.5 * a1 * a2 * np.sqrt(math.pi / a) * gauss * waves
+
+
+def displaced_overlaps(source, shifts) -> np.ndarray:
+    """2 pi hbar int int W(x,p) W(x-dx, p-dp) dx dp for each (dx, dp) in shifts,
+    exact over the whole plane: with W = X P^T it is sum(G_x * G_p), the Gram
+    matrices (_gram) of the x and p columns against their shifted copies."""
+    cols_x, cols_p = _columns(source)
+    # a shift along one axis leaves the other axis's Gram matrix unchanged
+    gram_x, gram_p = _gram(cols_x), _gram(cols_p)
     out = []
     for dx, dp in shifts:
-        gx = gram_x if dx == 0.0 else wX @ _x_side(source, xs - dx)
-        gp = gram_p if dp == 0.0 else wP @ _p_side(source, ps - dp)
+        gx = gram_x if dx == 0.0 else _gram(cols_x, dx)
+        gp = gram_p if dp == 0.0 else _gram(cols_p, dp)
         out.append(np.sum(gx * gp))
     return 2.0 * math.pi * source.constants.hbar * np.array(out)
 
 
-def purity(source, window: GridWindow) -> float:
-    """Self-overlap 2 pi hbar int int W^2 over the given window."""
-    return float(displaced_overlaps(source, window, [(0.0, 0.0)])[0])
+def purity(source) -> float:
+    """Self-overlap 2 pi hbar int int W^2 over the whole plane."""
+    return float(displaced_overlaps(source, [(0.0, 0.0)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +433,25 @@ def finest_fringe(L: float, alpha: float, constants: PhysicalConstants) -> float
 
 
 def integration_samples(width: float, max_rate: float, envelope_width: float) -> int:
-    """Trapezoid sample count for integrals of Gaussian-enveloped fringes.
+    """Trapezoid sample count for grid integrals of Gaussian-enveloped fringes,
+    as in the marginal and total-integral gates of `subzurek validate`.
 
     Superoscillations are not high frequencies: the integrand's true band
-    limit is max_rate (center separation L/hbar for W itself, 2L/hbar for
-    W*W products), and the trapezoid rule on a Gaussian-enveloped
-    band-limited integrand converges once the sampling rate beats that
-    limit, no matter how fine the local structure looks.  envelope_width is
-    the Gaussian factor's width along the integration axis (xi in x,
-    hbar/xi in p; divide by sqrt2 for squared integrands); the 11/width
-    margin pushes the envelope-spectrum aliasing below ~1e-12.
+    limit is max_rate (center separation L/hbar for W), and the trapezoid
+    rule on a Gaussian-enveloped band-limited integrand converges once the
+    sampling rate beats that limit, no matter how fine the local structure
+    looks.  envelope_width is the Gaussian factor's width along the
+    integration axis (xi in x, hbar/xi in p; divide by sqrt2 for squared
+    integrands); the 11/width margin pushes the envelope-spectrum aliasing
+    below ~1e-12.
     """
     rate = max_rate + 11.0 / envelope_width
     return int(math.ceil(width * rate / (2.0 * math.pi))) * 2 + 1
 
 
-def suggested_window(source, tail_sigmas: float = 6.0) -> GridWindow:
-    """Window covering every component and the momentum envelope of a source.
+def suggested_window(source) -> GridWindow:
+    """Window covering every component and the momentum envelope of a source,
+    six Gaussian widths (xi in x, hbar/xi in p) past each edge.
 
     Quarter-turn terms map their x-extent onto the p-axis, so both axes take
     the union of direct and rotated requirements.  Sample counts are not set
@@ -427,9 +467,9 @@ def suggested_window(source, tail_sigmas: float = 6.0) -> GridWindow:
         st = term.state
         xi = st.xi
         hbar = st.constants.hbar
-        lo = float(st.centers.min()) - tail_sigmas * xi
-        hi = float(st.centers.max()) + tail_sigmas * xi
-        ph = tail_sigmas * hbar / xi
+        lo = float(st.centers.min()) - 6.0 * xi
+        hi = float(st.centers.max()) + 6.0 * xi
+        ph = 6.0 * hbar / xi
         if term.rotation == QUARTER_TURN:
             p_half = max(p_half, max(abs(lo), abs(hi)))
             x_lo = min(x_lo, -ph)

@@ -12,6 +12,7 @@ import pytest
 
 from subzurek.analysis import (
     central_cut_crossings,
+    displacement_sensitivity,
     last_half_crossing,
     overlap_decay_scan,
     overspill_check,
@@ -226,14 +227,7 @@ def test_criterion_8_no_sensitivity_gain():
         ("cross", cross_state(build_preset("fig2a"))),
         ("compass", compass_mixture(L, 1.0, CONST)),
     ):
-        base = suggested_window(source, tail_sigmas=5.0)
-        pad = 2.5
-        w = 1.0 / math.sqrt(2)
-        nx = integration_samples(base.x_max - base.x_min + 2 * pad, 2 * L, w)
-        window = GridWindow(
-            base.x_min - pad, base.x_max + pad, base.p_min - pad, base.p_max + pad, nx, nx
-        )
-        ts, ov = overlap_decay_scan(source, window, (0.0, 1.0), 2.5, steps=201)
+        ts, ov = overlap_decay_scan(source, (0.0, 1.0), 2.5, steps=201)
         scales[label] = last_half_crossing(ts, ov)
     ratio = scales["cross"] / scales["compass"]
     assert abs(ratio - 1.0) <= 0.25
@@ -241,6 +235,27 @@ def test_criterion_8_no_sensitivity_gain():
     assert ratio > 1.0 / alpha + 0.25  # nowhere near an alpha-fold gain
     report(8, f"half-overlap scale: cross {scales['cross']:.4f} vs compass "
               f"{scales['compass']:.4f} (ratio {ratio:.3f}, tol 25%; no {alpha:.0f}-fold gain)")
+
+
+def test_criterion_8_curvature_is_position_variance():
+    """For a pure state shifted along p, O(d) = 1 - d^2 Var(x)/hbar^2 + O(d^4):
+    Var(x)/hbar^2 is a quarter of the quantum Fisher information of the shift
+    (Braunstein & Caves, PRL 72, 3439 (1994)), and it does not grow with alpha."""
+    d = 1e-3
+    x = np.linspace(-24.0, 24.0, 24001)
+    variances = {}
+    for alpha in (1.0, 10.0, 16.0):
+        state = build_psi(SuperoscParams(12, alpha), 3.0, 0.25, CONST)
+        dens = np.abs(eval_psi(state, x)) ** 2
+        norm = np.trapezoid(dens, x)
+        mean = np.trapezoid(x * dens, x) / norm
+        var = np.trapezoid((x - mean) ** 2 * dens, x) / norm
+        curvature = (1.0 - displacement_sensitivity(state, 0.0, d)) / d**2
+        assert curvature == pytest.approx(var / CONST.hbar**2, rel=1e-3), f"alpha {alpha}"
+        variances[alpha] = var
+    assert variances[16.0] < variances[1.0]
+    report(8, "curvature of O(d) along p = Var(x)/hbar^2 to 1e-3; Var(x) "
+              + ", ".join(f"{v:.2f} at alpha {a:.0f}" for a, v in variances.items()))
 
 
 def test_criterion_9_determinism_and_fast_path(tmp_path, monkeypatch):

@@ -223,6 +223,32 @@ class TestSensitivity:
         first = data[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
 
+    def test_defaults_reach_and_steps(self, tmp_path, monkeypatch):
+        # xi = 0.5 puts the default reach 2.5 * max(xi, hbar/xi) at 5
+        code = run(["sensitivity", "--preset", "cat", "--xi", "0.5", "--out", "s"],
+                   tmp_path, monkeypatch)
+        assert code == EXIT_OK
+        lines = (tmp_path / "s_sensitivity.csv").read_text().strip().split("\n")
+        data = [l for l in lines if not l.startswith("#")][1:]
+        assert len(data) == 161
+        assert float(data[-1].split(",")[0]) == 5.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_delta", "-1"), ("max_delta", "0"), ("max_delta", "inf"), ("steps", "0"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_scan_input_exits_2(self, key, value, via, tmp_path, monkeypatch, capsys):
+        if via == "flag":
+            extra = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            extra = ["--config", str(cfg)]
+        code = run(["sensitivity", "--preset", "cat", "--out", "s"] + extra, tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert key.split("_")[-1] in capsys.readouterr().err
+        assert not (tmp_path / "s_sensitivity.csv").exists()
+
 
 class TestConfigFile:
     def test_precedence_flags_over_config_over_preset(self, tmp_path, monkeypatch):

@@ -32,7 +32,6 @@ from subzurek.wigner import (
     displaced_overlaps,
     eval_cut,
     eval_grid,
-    eval_mixture,
     eval_wigner,
     integration_samples,
     marginal_x,
@@ -164,7 +163,7 @@ class TestMixture:
         rng = np.random.default_rng(23)
         for _ in range(20):
             x, p = rng.uniform(-10, 10, 2)
-            assert eval_mixture(mix, x, p) == eval_wigner(st, x, p)
+            assert eval_wigner(mix, x, p) == eval_wigner(st, x, p)
 
     def test_weights_must_sum_to_one(self):
         st = single_gaussian()
@@ -184,15 +183,15 @@ class TestMixture:
             t = rng.uniform(-14, 14)
             for x, p in ((t, 0.0), (0.0, t), (0.1 * t / 14, t)):
                 xr, pr = rotate_point(x, p)
-                dev = abs(eval_mixture(mix, x, p) - eval_mixture(mix, xr, pr))
+                dev = abs(eval_wigner(mix, x, p) - eval_wigner(mix, xr, pr))
                 assert dev <= 10 * leakage
 
     def test_cross_state_asymmetry_at_odd_midpoint_patches(self):
         # the sine-type patch between adjacent components flips sign under
         # p -> -p, so the two-term mixture is genuinely asymmetric there
         mix = cross_state(fig2a_state())
-        a = eval_mixture(mix, 3.0, 0.26)
-        b = eval_mixture(mix, *rotate_point(3.0, 0.26))
+        a = eval_wigner(mix, 3.0, 0.26)
+        b = eval_wigner(mix, *rotate_point(3.0, 0.26))
         assert abs(a - b) > 0.1
 
     def test_quarter_turn_involution(self):
@@ -206,9 +205,9 @@ class TestMixture:
         # Gaussian spots on both axes at the component distance
         mix = cross_state(fig2a_state())
         r = 12.0
-        on_axis = [eval_mixture(mix, r, 0.0), eval_mixture(mix, -r, 0.0),
-                   eval_mixture(mix, 0.0, r), eval_mixture(mix, 0.0, -r)]
-        off_axis = eval_mixture(mix, r / math.sqrt(2), r / math.sqrt(2))
+        on_axis = [eval_wigner(mix, r, 0.0), eval_wigner(mix, -r, 0.0),
+                   eval_wigner(mix, 0.0, r), eval_wigner(mix, 0.0, -r)]
+        off_axis = eval_wigner(mix, r / math.sqrt(2), r / math.sqrt(2))
         assert min(on_axis) > 100 * abs(off_axis)
 
 
@@ -314,8 +313,7 @@ class TestMarginals:
 class TestOverlap:
     def test_pure_state_purity_is_one(self):
         st = single_gaussian()
-        window = GridWindow(-8.0, 8.0, -8.0, 8.0, 321, 321)
-        assert purity(st, window) == pytest.approx(1.0, abs=1e-4)
+        assert purity(st) == pytest.approx(1.0, abs=1e-14)
 
     def test_displaced_gaussian_fidelity(self):
         xi = 1.0
@@ -334,9 +332,8 @@ class TestOverlap:
 
     def test_cross_state_purity_below_pure(self):
         st = fig2a_state()
-        window = product_grid(cross_state(st), 24.0)
-        pure = purity(st, window)
-        mixed = purity(cross_state(st), window)
+        pure = purity(st)
+        mixed = purity(cross_state(st))
         assert mixed < pure
         # balanced mixture purity = 1/2 + |<psi|rot psi>|^2/2; the xi=sqrt(hbar)
         # origin component is rotation-invariant, so the branch overlap is
@@ -349,13 +346,15 @@ class TestOverlap:
         source = fig2a_state() if name == "fig2a" else compass_mixture(12.0, 1.0, CONST)
         window = product_grid(source, 12.0)
         grid = eval_grid(source, window)
-        assert purity(source, window) == pytest.approx(overlap(grid, grid, CONST), rel=0, abs=1e-12)
+        assert purity(source) == pytest.approx(overlap(grid, grid, CONST), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("axis", ["x", "p"])
     def test_compass_displaced_overlaps_match_shifted_grids(self, axis):
-        # one axis stays put along x or p; its Gram product is reused
+        # one axis stays put along x or p; its Gram product is reused.  The
+        # window holds every arm of the shifted copies, so the trapezoid sums
+        # converge to the exact plane integrals
         source = compass_mixture(6.0, 1.0, CONST)
-        window = GridWindow(-9.0, 9.0, -8.0, 8.0, 61, 53)
+        window = GridWindow(-12.0, 12.0, -12.0, 12.0, 241, 241)
         steps = [0.0, 0.3, 1.1, 2.5]
         shifts = [(t, 0.0) if axis == "x" else (0.0, t) for t in steps]
         base = eval_grid(source, window)
@@ -365,7 +364,7 @@ class TestOverlap:
                                window.p_min - dp, window.p_max - dp, window.nx, window.np)
             shifted = PhaseSpaceGrid(window, eval_grid(source, moved).values)
             expected.append(overlap(base, shifted, CONST))
-        got = displaced_overlaps(source, window, shifts)
+        got = displaced_overlaps(source, shifts)
         assert min(expected) < 0.5
         assert np.max(np.abs(got - np.array(expected))) <= 1e-12
 
