@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -374,6 +375,90 @@ class TestOverlap:
         gb = eval_grid(st, GridWindow(-8, 8, -8, 8, 65, 64))
         with pytest.raises(ValueError, match="lattice"):
             overlap(ga, gb, CONST)
+
+
+def mp_pair_sum(source, x, p):
+    """(W, S) at one point: the pair sum over the float centers and
+    coefficients at 60 digits, and S the sum of its absolute pair terms."""
+    w_sum = s_sum = 0
+    with mpmath.workdps(60):
+        for t in source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),):
+            st = t.state
+            xt, pt = rotate_point(x, p) if t.rotation == QUARTER_TURN else (x, p)
+            xt, pt = mpmath.mpf(xt), mpmath.mpf(pt)
+            xi, hbar = mpmath.mpf(st.xi), mpmath.mpf(st.constants.hbar)
+            scale = mpmath.mpf(t.weight) * mpmath.exp(-(pt * xi / hbar) ** 2) / (mpmath.pi * hbar)
+            comps = [(mpmath.mpf(a), mpmath.mpc(c.real, c.imag)) for a, c in zip(st.centers, st.coeffs)]
+            for a, ca in comps:
+                for b, cb in comps:
+                    term = (ca * mpmath.conj(cb) * mpmath.exp(-((xt - (a + b) / 2) / xi) ** 2)
+                            * mpmath.expj(pt * (b - a) / hbar) * scale)
+                    w_sum += term.real
+                    s_sum += abs(term)
+        return float(w_sum), float(s_sum)
+
+
+class TestRoundoffFloor:
+    """On the central h/L panel the true W is an exponentially small
+    cancellation (1e-15 for fig2c), so an absolute pair-sum check cannot
+    see it.  The core must stay within eps * S of the exact sum over the
+    same float coefficients, S being the sum of absolute pair terms: the
+    float64 floor of any pair sum, and no worse."""
+
+    @pytest.mark.parametrize("source_kind", ["pure", "cross"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2b", "fig2c"])
+    def test_central_panel_within_eps_of_sum(self, preset, source_kind):
+        scenario = resolve_scenario(argparse.Namespace(preset=preset))
+        state = scenario.build_state()
+        source = cross_state(state) if source_kind == "cross" else state
+        half = CONST.h / state.extent / 2.0
+        ps = np.concatenate(([0.0], np.linspace(-half, half, 16)))
+        got = eval_wigner(source, 0.0, ps)
+        assert got[0] == eval_wigner(source, 0.0, 0.0)
+        for p, w in zip(ps, got):
+            exact, s = mp_pair_sum(source, 0.0, float(p))
+            assert abs(w - exact) <= np.finfo(float).eps * s
+
+
+class TestSuggestedWindow:
+    """Each edge against its closed-form bound, six widths (xi in x, hbar/xi
+    in p) past the outermost center or the momentum envelope, to 1 ulp."""
+
+    @staticmethod
+    def bounds(terms):
+        edges = []
+        for t in terms:
+            a, xi, hbar = t.state.centers, t.state.xi, t.state.constants.hbar
+            lo, hi, ph = float(a.min()) - 6.0 * xi, float(a.max()) + 6.0 * xi, 6.0 * hbar / xi
+            if t.rotation == QUARTER_TURN:
+                edges.append((-ph, ph, max(abs(lo), abs(hi))))
+            else:
+                edges.append((lo, hi, ph))
+        p_half = max(e[2] for e in edges)
+        return min(e[0] for e in edges), max(e[1] for e in edges), -p_half, p_half
+
+    @pytest.mark.parametrize("name", ["comb", "cross", "compass", "turned_pair"])
+    def test_edges_match_closed_form(self, name):
+        constants = PhysicalConstants(hbar=0.7)
+        comb = build_psi(SuperoscParams(4, 3.0), 1.3, 0.3, constants)
+        pair = StateSpec(
+            components=(GaussianComponent(1.1, 0.3, 0.6 + 0j), GaussianComponent(2.9, 0.3, 0.8j)),
+            constants=constants,
+        )
+        source = {
+            "comb": comb,
+            "cross": cross_state(comb),
+            "compass": compass_mixture(7.0, 0.3, constants),
+            "turned_pair": MixtureSpec(terms=(MixtureTerm(pair, 1.0, QUARTER_TURN),)),
+        }[name]
+        terms = source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),)
+        window = suggested_window(source)
+        got = (window.x_min, window.x_max, window.p_min, window.p_max)
+        for edge, bound in zip(got, self.bounds(terms)):
+            assert abs(edge - bound) <= np.spacing(abs(bound))
+        if name == "turned_pair":
+            # both centers positive: the p edge is the upper one, mirrored
+            assert window.p_max == pytest.approx(2.9 + 1.8, rel=1e-15)
 
 
 class TestCompassMixture:
