@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PhysicalConstants, StateSpec
-from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, pair_kernel
+from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
 
 OVERSPILL_WARN_RATIO = 0.1
 _RHS_FLOOR = 1e-280
@@ -89,7 +89,7 @@ def recommended_cut_samples(
     window: float, L: float, alpha: float, constants: PhysicalConstants, per_fringe: int = 64
 ) -> int:
     """Sample count giving >= per_fringe samples per finest fringe h/(2 L alpha)."""
-    fringe = constants.h / (2.0 * L * max(alpha, 1.0))
+    fringe = finest_fringe(L, alpha, constants)
     return max(256, int(math.ceil(per_fringe * window / fringe)) + 1)
 
 

@@ -20,14 +20,17 @@ midpoint.
 Every evaluation runs through one factored core.  The pairs (j,k) and
 (k,j) are complex conjugates, so a pure state is a sum of R = m(m+1)/2 real
 terms, one per pair j <= k, and each term is a Gaussian in x times a
-Gaussian-enveloped plane wave in p.  The core turns a state into an x-factor
-matrix X (nx x R) and a p-factor matrix P (np x R) with W = X P^T; a
-mixture concatenates the factors of its terms, and a quarter-turned term
-swaps its two factors.  A grid is then one matrix product and a point or
-cut a row-wise sum of X * P.  Every factor column has the form
-A e^{-(t-mu)^2/sigma^2} cos(omega t + phi), so a phase-space overlap, shifted
-or not, is a product of small R x R Gram matrices whose entries are exact
-Gaussian integrals over the real line: no grid, window or sampling rule.
+Gaussian-enveloped plane wave in p.  So W = X P^T with an x-factor matrix X
+(nx x R) and a p-factor matrix P (np x R), and every factor column has the
+form A e^{-(t-mu)^2/sigma^2} cos(omega t + phi).  _columns is the one place
+that turns a source into the table of those five parameters per column: a
+mixture concatenates its terms' columns, and a quarter-turned term swaps
+its two factors.  Everything else reads the table.  A grid is one matrix
+product of the evaluated columns, and a point or cut a row-wise sum of
+X * P.  suggested_window is six sigma past every column's mu.  A
+phase-space overlap, shifted or not, is a product of small R x R Gram
+matrices whose entries are exact Gaussian integrals over the real line: no
+grid, window or sampling rule.
 
 pair_kernel evaluates one ordered pair as written above, and
 _pair_sum_complex sums it over all ordered pairs.  That complex sum shares
@@ -200,36 +203,6 @@ def _pair_sum_complex(state: StateSpec, x, p):
 # ---------------------------------------------------------------------------
 # factored core: W = X P^T
 
-def _pairs(state: StateSpec):
-    """Per-pair data of one pure state, one entry per pair j <= k: the
-    midpoint (a_j+a_k)/2, the frequency (a_k-a_j)/hbar and the weight w."""
-    a, c = state.centers, state.coeffs
-    j, k = np.triu_indices(a.size)
-    # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
-    # double the off-diagonal real parts
-    w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
-    return 0.5 * (a[j] + a[k]), (a[k] - a[j]) / state.constants.hbar, w
-
-
-def _x_factor(state: StateSpec, xs: np.ndarray) -> np.ndarray:
-    """x-factor (len(xs) x R) of one pure state, one column per pair j <= k:
-    the Gaussian spot at the pair's midpoint."""
-    xi = state.xi  # raises on mixed widths
-    mid = _pairs(state)[0]
-    return np.exp(-((xs[:, None] - mid) ** 2) / (xi * xi))
-
-
-def _p_factor(state: StateSpec, ps: np.ndarray) -> np.ndarray:
-    """p-factor (len(ps) x R) of one pure state, so that W(x_i, p_l) =
-    sum_r X[i, r] P[l, r] with X its _x_factor."""
-    xi = state.xi
-    hbar = state.constants.hbar
-    _, freq, w = _pairs(state)
-    theta = ps[:, None] * freq
-    g = np.exp(-(ps * ps) * xi * xi / (hbar * hbar)) / (math.pi * hbar)
-    return (w.real * np.cos(theta) - w.imag * np.sin(theta)) * g[:, None]
-
-
 def _terms(source) -> tuple[MixtureTerm, ...]:
     if isinstance(source, StateSpec):
         return (MixtureTerm(source, 1.0, IDENTITY),)
@@ -238,30 +211,52 @@ def _terms(source) -> tuple[MixtureTerm, ...]:
     return source.terms
 
 
-def _x_side(source, xs: np.ndarray) -> np.ndarray:
-    """X of a StateSpec or MixtureSpec; a mixture concatenates its terms'.
+def _columns(source):
+    """Parameters (5 x R) of the X and of the P columns of a StateSpec or
+    MixtureSpec, one column per pair j <= k of each term, terms concatenated.
 
-    A quarter-turned term W(-p, x) is its state's factors at (-p, x) with the
-    two factors swapped, so its x side is the state's p-factor at xs.
+    Rows are A, mu, sigma, omega, phi, column r being
+    A e^{-(t-mu)^2/sigma^2} cos(omega t + phi) (see _eval_columns): the x
+    factor is the spot at the pair's midpoint, and the p factor
+    Re(w e^{i omega p}) g(p) is |w| cos(omega p + arg w) g(p), its A carrying
+    the term's weight and 1/(pi hbar).  A quarter-turned term W(-p, x) swaps
+    the two and mirrors its new p side, the x spot taken at -p.
     """
-    return np.hstack([
-        _p_factor(t.state, xs) if t.rotation == QUARTER_TURN else _x_factor(t.state, xs)
-        for t in _terms(source)
-    ])
+    xs, ps = [], []
+    for t in _terms(source):
+        xi, hbar = t.state.xi, t.state.constants.hbar  # xi raises on mixed widths
+        a, c = t.state.centers, t.state.coeffs
+        j, k = np.triu_indices(a.size)
+        # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and
+        # double the off-diagonal real parts
+        w = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0)
+        one, zero = np.ones(w.size), np.zeros(w.size)
+        x = np.array([one, 0.5 * (a[j] + a[k]), xi * one, zero, zero])
+        p = np.array([t.weight * np.abs(w) / (math.pi * hbar), zero, hbar / xi * one,
+                      (a[k] - a[j]) / hbar, np.angle(w)])
+        if t.rotation == QUARTER_TURN:
+            x, p = p, x * [[1.0], [-1.0], [1.0], [1.0], [1.0]]
+        xs.append(x)
+        ps.append(p)
+    return np.hstack(xs), np.hstack(ps)
 
 
-def _p_side(source, ps: np.ndarray) -> np.ndarray:
-    """P of a StateSpec or MixtureSpec, each term's block times its weight."""
-    return np.hstack([
-        t.weight * (_x_factor(t.state, -ps) if t.rotation == QUARTER_TURN else _p_factor(t.state, ps))
-        for t in _terms(source)
-    ])
-
-
-def _factors(source, xs: np.ndarray, ps: np.ndarray):
-    """Real factors X (len(xs) x R), P (len(ps) x R) with W = X P^T.  X
-    depends on xs alone and P on ps alone, rotated terms included."""
-    return _x_side(source, xs), _p_side(source, ps)
+def _eval_columns(cols: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A e^{-(t-mu)^2/sigma^2} cos(omega t + phi) of every column at every t,
+    as a len(t) x R matrix: X at the x coordinates, P at the p coordinates,
+    with W = X P^T."""
+    amp, mu, sigma, omega, phi = cols[:, None, :]
+    t = t[:, None]
+    out = t * omega
+    out += phi
+    np.cos(out, out=out)
+    g = t - mu
+    g *= g
+    g /= -(sigma * sigma)
+    np.exp(g, out=g)
+    out *= g
+    out *= amp
+    return out
 
 
 _POINT_BLOCK = 256
@@ -275,14 +270,16 @@ def eval_wigner(source, x, p):
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    cols_x, cols_p = _columns(source)
     out = np.empty(np.broadcast_shapes(x.shape, p.shape))
     flat = out.reshape(-1)
-    # a scalar coordinate, as on a cut, is factored once for every block
+    # a scalar coordinate, as on a cut, is one factor row for every block
     xs = x.reshape(1) if x.ndim == 0 else np.broadcast_to(x, out.shape).ravel()
     ps = p.reshape(1) if p.ndim == 0 else np.broadcast_to(p, out.shape).ravel()
     for i in range(0, flat.size, _POINT_BLOCK):
         block = slice(i, i + _POINT_BLOCK)
-        X, P = _factors(source, xs if xs.size == 1 else xs[block], ps if ps.size == 1 else ps[block])
+        X = _eval_columns(cols_x, xs if xs.size == 1 else xs[block])
+        P = _eval_columns(cols_p, ps if ps.size == 1 else ps[block])
         flat[block] = (X * P).sum(axis=1)
     if out.ndim == 0:
         return float(out)
@@ -296,8 +293,15 @@ def wigner_bound(constants: PhysicalConstants) -> float:
 
 def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:
     """Fill the lattice with W = X P^T for a StateSpec or MixtureSpec."""
-    X, P = _factors(source, window.x_coords(), window.p_coords())
-    return PhaseSpaceGrid(window=window, values=X @ P.T)
+    cols_x, cols_p = _columns(source)
+    # the grid is allocated before its factors, so their memory returns to
+    # the top of the heap instead of staying a hole below the grid, around
+    # which a large export buffer grown next would be copied
+    values = np.empty((window.nx, window.np))
+    X = _eval_columns(cols_x, window.x_coords())
+    P = _eval_columns(cols_p, window.p_coords())
+    np.matmul(X, P.T, out=values)
+    return PhaseSpaceGrid(window=window, values=values)
 
 
 def eval_cut(source, axis: str, coords: np.ndarray):
@@ -354,31 +358,6 @@ def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalC
 
 # ---------------------------------------------------------------------------
 # exact overlaps: closed-form Gram matrices of the factor columns
-
-def _columns(source):
-    """Parameters (5 x R) of the X and of the P columns of a StateSpec or
-    MixtureSpec, in the order of _x_side and _p_side.
-
-    Rows are A, mu, sigma, omega, phi, column r being
-    A e^{-(t-mu)^2/sigma^2} cos(omega t + phi): the x factor is the midpoint
-    spot, and the p factor Re(w e^{i omega p}) g(p) is |w| cos(omega p + arg w)
-    g(p), its A carrying the term's weight.  A quarter-turned term swaps the
-    two and mirrors its new p side; the overlap sees only the product.
-    """
-    xs, ps = [], []
-    for t in _terms(source):
-        xi, hbar = t.state.xi, t.state.constants.hbar
-        mid, freq, w = _pairs(t.state)
-        one, zero = np.ones(mid.size), np.zeros(mid.size)
-        x = np.array([one, mid, xi * one, zero, zero])
-        p = np.array([t.weight * np.abs(w) / (math.pi * hbar), zero, hbar / xi * one, freq,
-                      np.angle(w)])
-        if t.rotation == QUARTER_TURN:
-            x, p = p, x * [[1.0], [-1.0], [1.0], [1.0], [1.0]]  # the x factor at -p
-        xs.append(x)
-        ps.append(p)
-    return np.hstack(xs), np.hstack(ps)
-
 
 def _gram(cols: np.ndarray, d: float = 0.0) -> np.ndarray:
     """G[r, s] = int f_r(t) f_s(t - d) dt over the real line, in closed form.
@@ -450,32 +429,15 @@ def integration_samples(width: float, max_rate: float, envelope_width: float) ->
 
 
 def suggested_window(source) -> GridWindow:
-    """Window covering every component and the momentum envelope of a source,
-    six Gaussian widths (xi in x, hbar/xi in p) past each edge.
+    """Window covering every factor column of a source, six Gaussian widths
+    past each spot: six xi past the outermost centers in x and six hbar/xi
+    in p, a quarter-turned term trading the two axes.
 
-    Quarter-turn terms map their x-extent onto the p-axis, so both axes take
-    the union of direct and rotated requirements.  Sample counts are not set
-    here (callers apply their own resolution rule); placeholders of 2 are
-    used and must be overridden.
+    Sample counts are not set here (callers apply their own resolution
+    rule); placeholders of 2 are used and must be overridden.
     """
-    x_lo = math.inf
-    x_hi = -math.inf
-    p_half = 0.0
-    for term in source.terms if isinstance(source, MixtureSpec) else [
-        MixtureTerm(source, 1.0, IDENTITY)
-    ]:
-        st = term.state
-        xi = st.xi
-        hbar = st.constants.hbar
-        lo = float(st.centers.min()) - 6.0 * xi
-        hi = float(st.centers.max()) + 6.0 * xi
-        ph = 6.0 * hbar / xi
-        if term.rotation == QUARTER_TURN:
-            p_half = max(p_half, max(abs(lo), abs(hi)))
-            x_lo = min(x_lo, -ph)
-            x_hi = max(x_hi, ph)
-        else:
-            x_lo = min(x_lo, lo)
-            x_hi = max(x_hi, hi)
-            p_half = max(p_half, ph)
+    (_, mu_x, sigma_x, _, _), (_, mu_p, sigma_p, _, _) = _columns(source)
+    x_lo = float(np.min(mu_x - 6.0 * sigma_x))
+    x_hi = float(np.max(mu_x + 6.0 * sigma_x))
+    p_half = float(np.max(np.abs(mu_p) + 6.0 * sigma_p))
     return GridWindow(x_min=x_lo, x_max=x_hi, p_min=-p_half, p_max=p_half, nx=2, np=2)

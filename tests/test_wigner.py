@@ -437,6 +437,8 @@ class TestSuggestedWindow:
         p_half = max(e[2] for e in edges)
         return min(e[0] for e in edges), max(e[1] for e in edges), -p_half, p_half
 
+    # turned_pair has both centers positive, so its p edge is the mirrored
+    # upper x edge, not the lower one
     @pytest.mark.parametrize("name", ["comb", "cross", "compass", "turned_pair"])
     def test_edges_match_closed_form(self, name):
         constants = PhysicalConstants(hbar=0.7)
@@ -456,9 +458,6 @@ class TestSuggestedWindow:
         got = (window.x_min, window.x_max, window.p_min, window.p_max)
         for edge, bound in zip(got, self.bounds(terms)):
             assert abs(edge - bound) <= np.spacing(abs(bound))
-        if name == "turned_pair":
-            # both centers positive: the p edge is the upper one, mirrored
-            assert window.p_max == pytest.approx(2.9 + 1.8, rel=1e-15)
 
 
 class TestCompassMixture:
