@@ -369,16 +369,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     half = float(np.max(np.abs(state.centers)))
     gates: list[tuple[str, float, float]] = []
 
-    worst = 0.0
-    worst_im = 0.0
-    for _ in range(n_points):
-        x = float(rng.uniform(-half - 2 * xi, half + 2 * xi))
-        p = float(rng.uniform(-3.5 * constants.hbar / xi, 3.5 * constants.hbar / xi))
-        closed = wigner.eval_wigner(state, x, p)
-        quad = oracle.wigner_quadrature(state, x, p)
-        worst = max(worst, abs(closed - quad))
-        full = wigner._pair_sum_complex(state, x, p)
-        worst_im = max(worst_im, abs(full.imag) / max(1.0, abs(full.real)))
+    points = np.array([
+        (rng.uniform(-half - 2 * xi, half + 2 * xi),
+         rng.uniform(-3.5 * constants.hbar / xi, 3.5 * constants.hbar / xi))
+        for _ in range(n_points)
+    ]).reshape(-1, 2)
+    xs, ps = points.T
+    closed = wigner.eval_wigner(state, xs, ps)
+    quad = np.array([oracle.wigner_quadrature(state, x, p) for x, p in points.tolist()])
+    full = wigner._pair_sum_complex(state, xs, ps)
+    worst = float(np.max(np.abs(closed - quad), initial=0.0))
+    worst_im = float(np.max(np.abs(full.imag) / np.maximum(1.0, np.abs(full.real)), initial=0.0))
     gates.append(("closed-form vs quadrature (abs)", worst, 1e-8))
     gates.append(("pair-sum imaginary residue (rel)", worst_im, 1e-12))
 

@@ -9,8 +9,11 @@ by composite Simpson quadrature, with no reference to the pairwise kernel.
 The rule is plain composite Simpson; windows and sample counts follow printed
 criteria instead of adaptivity so failures are auditable.  The lattice is
 symmetric about y = 0, so psi is evaluated once per point and read backwards
-for psi(x-y).  On that lattice the integrand at -y is the conjugate of the
-integrand at +y, so the imaginary part cancels pairwise and only checks
+for psi(x-y).  The transform phase is built on the y >= 0 half alone, from
+cos and sin, and mirrored as its conjugate; its bits are those of the complex
+exp over the whole lattice.  The integrand is still formed and summed over
+the whole lattice: its value at -y is the conjugate of its value at +y only
+up to roundoff, so the imaginary part cancels pairwise and only checks
 roundoff.
 
 For shared-width Gaussian superpositions the integrand's y-support is set by
@@ -118,7 +121,16 @@ def wigner_quadrature_parts(
     # -y[k], so psi(x - y) is psi(x + y) reversed and psi is evaluated once
     y = h * np.arange(-half, half + 1)
     f = eval_psi(state, x + y)
-    integrand = np.conj(f) * f[::-1] * np.exp(2j * p * y / hbar)
+    # e^{2ipy/hbar} from cos and sin on y >= 0, the y < 0 half its conjugate
+    # read backwards.  numpy's complex division by hbar multiplies by 1/hbar,
+    # so theta takes the same factor and every bit is the complex exp's
+    theta = 2.0 * p * y[half:] * (1.0 / hbar)
+    phase = np.empty(y.size, dtype=complex)
+    np.cos(theta, out=phase.real[half:])
+    np.sin(theta, out=phase.imag[half:])
+    phase.real[:half] = phase.real[:half:-1]
+    np.negative(phase.imag[:half:-1], out=phase.imag[:half])
+    integrand = np.conj(f) * f[::-1] * phase
     total = _simpson(integrand, h) / (math.pi * hbar)
     return float(np.real(total)), float(np.imag(total))
 

@@ -194,6 +194,9 @@ def build_psi(
 # float64 exp rounds to exactly +0.0 below about -745.13, but numpy reaches
 # that zero through a slow underflow path
 _EXP_ZERO_BELOW = -746.0
+# |x - center| / xi beyond which the exponent is below _EXP_ZERO_BELOW; the
+# 1e-12 margin covers the rounding of the exponent near the edge
+_EXP_ZERO_REACH = math.sqrt(-2.0 * _EXP_ZERO_BELOW) * (1.0 + 1e-12)
 
 
 def eval_psi(state: StateSpec, x):
@@ -201,13 +204,25 @@ def eval_psi(state: StateSpec, x):
     xs = np.asarray(x, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
     g = np.empty(xs.shape)
+    # on an ascending 1-D input (the quadrature lattices) each component is
+    # evaluated only on the slice inside its reach, where its exp can be
+    # nonzero; past the reach it adds exactly zero.  NaN fails the ascending
+    # test, so such input takes the full loop and the NaN propagates.
+    ascending = xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1]))
     for comp in state.components:
         amp = (math.pi * comp.xi**2) ** -0.25
-        arg = -((xs - comp.center) ** 2) / (2.0 * comp.xi**2)
+        if ascending:
+            reach = _EXP_ZERO_REACH * comp.xi
+            lo, hi = np.searchsorted(xs, (comp.center - reach, comp.center + reach))
+            part = slice(lo, hi)
+        else:
+            part = ...
+        xp, gp = xs[part], g[part]
+        arg = -((xp - comp.center) ** 2) / (2.0 * comp.xi**2)
         # skip the arguments whose exp is exactly zero; NaN still propagates
-        g.fill(0.0)
-        np.exp(arg, out=g, where=~(arg < _EXP_ZERO_BELOW))
-        out += comp.coeff * amp * g
+        gp.fill(0.0)
+        np.exp(arg, out=gp, where=~(arg < _EXP_ZERO_BELOW))
+        out[part] += comp.coeff * amp * gp
     if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
         return complex(out)
     return out

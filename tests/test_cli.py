@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from subzurek import oracle, wigner
 from subzurek.cli import (
     EXIT_ANALYSIS,
     EXIT_BAD_PARAMS,
@@ -11,7 +12,9 @@ from subzurek.cli import (
     EXIT_UNDERSAMPLED,
     EXIT_VALIDATION,
     PRESETS,
+    build_parser,
     main,
+    resolve_scenario,
 )
 
 
@@ -204,6 +207,34 @@ class TestValidate:
 
     def test_cat_gates_pass(self, tmp_path, monkeypatch):
         assert run(["validate", "--preset", "cat", "--points", "8"], tmp_path, monkeypatch) == EXIT_OK
+
+
+def _per_point_gate_lines(preset, n_points):
+    """The first two validate gates from the point-at-a-time loop."""
+    args = build_parser().parse_args(["validate", "--preset", preset])
+    scenario = resolve_scenario(args)
+    state = scenario.build_state()
+    hbar, xi = scenario.constants.hbar, scenario.xi
+    half = float(np.max(np.abs(state.centers)))
+    rng = np.random.default_rng(20260808)
+    worst = worst_im = 0.0
+    for _ in range(n_points):
+        x = float(rng.uniform(-half - 2 * xi, half + 2 * xi))
+        p = float(rng.uniform(-3.5 * hbar / xi, 3.5 * hbar / xi))
+        worst = max(worst, abs(wigner.eval_wigner(state, x, p) - oracle.wigner_quadrature(state, x, p)))
+        full = wigner._pair_sum_complex(state, x, p)
+        worst_im = max(worst_im, abs(full.imag) / max(1.0, abs(full.real)))
+    gates = (("closed-form vs quadrature (abs)", worst, 1e-8),
+             ("pair-sum imaginary residue (rel)", worst_im, 1e-12))
+    return [f"PASS  {name:<42} {value:.3e} (tol {tol:.1e})" for name, value, tol in gates]
+
+
+class TestValidateBatched:
+    @pytest.mark.parametrize("preset", ["fig1", "fig2a", "cat"])
+    def test_gate_lines_match_per_point_loop(self, preset, tmp_path, monkeypatch, capsys):
+        assert run(["validate", "--preset", preset, "--points", "12"], tmp_path, monkeypatch) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == _per_point_gate_lines(preset, 12)
 
 
 class TestSensitivity:

@@ -179,6 +179,46 @@ class TestSymmetricLattice:
             assert calls[-1] == (default_quadrature(st, p).n_points + 1,)
 
 
+def _complex_exp_parts(state, x, p):
+    """Reference oracle: the transform phase as one complex exp over the
+    whole lattice, psi through eval_psi's full loop (2-D input)."""
+    quad = default_quadrature(state, p)
+    hbar = state.constants.hbar
+    half = quad.n_points // 2
+    h = 2.0 * quad.y_halfwidth / quad.n_points
+    y = h * np.arange(-half, half + 1)
+    f = eval_psi(state, (x + y)[None, :])[0]
+    integrand = np.conj(f) * f[::-1] * np.exp(2j * p * y / hbar)
+    total = _simpson(integrand, h) / (math.pi * hbar)
+    return float(np.real(total)), float(np.imag(total))
+
+
+class TestHalfLatticePhase:
+    """Phase from cos/sin on y >= 0 and its conjugate on y < 0: same bits."""
+
+    STATES = {
+        "fig1": lambda hbar: build_psi(SuperoscParams(8, 10.0), 3.0, 0.25, PhysicalConstants(hbar)),
+        "fig2b": lambda hbar: build_psi(SuperoscParams(12, 10.0), 3.0, 0.25, PhysicalConstants(hbar)),
+        "cat": lambda hbar: build_cat(3.0, 1.0, PhysicalConstants(hbar)),
+        "comb_n12_alpha16": lambda hbar: build_psi(
+            SuperoscParams(12, 16.0), 3.0, 0.25, PhysicalConstants(hbar)
+        ),
+    }
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_bitwise_equal_to_complex_exp(self, name, hbar):
+        st = self.STATES[name](hbar)
+        half = float(np.max(np.abs(st.centers)))
+        rng = np.random.default_rng(99)
+        p_max = 3.5 * hbar / st.xi
+        for p in (-p_max * rng.uniform(0.1, 1.0), 0.0, p_max * rng.uniform(0.1, 1.0)):
+            x = float(rng.uniform(-half - 2 * st.xi, half + 2 * st.xi))
+            got = np.array(wigner_quadrature_parts(st, x, p))
+            ref = np.array(_complex_exp_parts(st, x, p))
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (x, p, got - ref)
+
+
 class TestNormQuadrature:
     def test_normalized_single_gaussian(self):
         assert abs(norm_quadrature(single_gaussian()) - 1.0) <= 1e-10

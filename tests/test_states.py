@@ -223,6 +223,43 @@ class TestEvalPsiBitwise:
         assert np.isnan(got[0].real) and np.isnan(got[0].imag)
         assert np.array_equal(_bits(got[1:]), _bits(_psi_every_exp(state, xs[1:])))
 
+    # ascending 1-D input takes the per-component slice; a reach cut even
+    # 1% short drops the subnormal tails at the outermost centers
+
+    def test_sorted_across_underflow_edge(self, state):
+        xs = np.sort(_underflow_edge(state, np.random.default_rng(10)))
+        assert np.array_equal(_bits(eval_psi(state, xs)), _bits(_psi_every_exp(state, xs)))
+
+    def test_sorted_with_duplicates(self, state):
+        xs = np.sort(np.repeat(_underflow_edge(state, np.random.default_rng(11)), 2))
+        assert np.array_equal(_bits(eval_psi(state, xs)), _bits(_psi_every_exp(state, xs)))
+
+    def test_sorted_with_infinite_ends(self, state):
+        edge = np.sort(_underflow_edge(state, np.random.default_rng(12)))
+        xs = np.concatenate(([-np.inf], edge, [np.inf]))
+        got = eval_psi(state, xs)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.array_equal(_bits(got), _bits(_psi_every_exp(state, xs)))
+
+    def test_nan_in_ascending_run_takes_full_path(self, state):
+        xs = np.sort(_underflow_edge(state, np.random.default_rng(13)))
+        k = xs.size // 2
+        xs[k] = np.nan
+        got = eval_psi(state, xs)
+        assert np.isnan(got[k].real) and np.isnan(got[k].imag)
+        rest = np.delete(np.arange(xs.size), k)
+        assert np.array_equal(_bits(got[rest]), _bits(_psi_every_exp(state, xs)[rest]))
+
+    def test_empty_and_single_element(self, state):
+        assert eval_psi(state, np.array([])).shape == (0,)
+        # exponents -732 ... -745: the term is subnormal, not yet zero
+        tail = state.centers.max() + state.xi * np.sqrt(2.0 * np.linspace(732.0, 745.0, 5))
+        for x in (0.0, float(state.centers[0]), *tail.tolist()):
+            xs = np.array([x])
+            got = eval_psi(state, xs)
+            assert got.shape == (1,)
+            assert np.array_equal(_bits(got), _bits(_psi_every_exp(state, xs)))
+
 
 class TestNormSquared:
     def test_unit_single_component(self):
