@@ -360,11 +360,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    n_points = 24 if args.points is None else args.points
+    if n_points < 1:
+        raise CliError(f"--points must be >= 1, got {n_points}", EXIT_BAD_PARAMS)
     scenario = resolve_scenario(args)
     state = scenario.build_state()
     constants = scenario.constants
     rng = np.random.default_rng(20260808)
-    n_points = args.points or 24
     xi = scenario.xi
     half = float(np.max(np.abs(state.centers)))
     gates: list[tuple[str, float, float]] = []

@@ -4,14 +4,18 @@ All floats are written with %.17g (round-trip exact), all newlines are '\n',
 and every writer goes through a temp-file-then-rename so no partial output
 survives an error.  Identical inputs produce byte-identical files.
 
-The CSV serializers return a bytearray holding the whole file.  Rows of
-values are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
-values and appended to that one buffer: each value's 17 significant digits
-come from an exact double-double product with a table of powers of ten, its
-characters go into a fixed-width record, and a keep mask per %g layout picks
-the ones "%.17g" writes.  Only nan, +-inf and values within 1e-9 of a
-rounding tie are formatted one by one with "%.17g".  The bytes are those of
-a per-value "%.17g" join.
+The CSV serializers return a bytearray holding the whole file.  It is
+allocated once, at _MAX_TEXT bytes per value (the longest %.17g text and its
+separator), and cut to length at the end.  Rows of values are formatted by
+numpy arithmetic in blocks of about _BLOCK_VALUES values: each value's 17
+significant digits come from an exact double-double product with a table of
+powers of ten, its characters go into a fixed-width record, and a keep mask
+per %g layout picks the ones "%.17g" writes.  Only nan, +-inf and values
+within 1e-9 of a rounding tie are formatted one by one with "%.17g".  When
+the process may use two CPUs and the array spans two blocks, one helper
+thread formats every other block into its own record; the caller copies each
+block's text into the buffer in order.  The bytes are those of a per-value
+"%.17g" join, with or without the helper.
 """
 
 from __future__ import annotations
@@ -223,25 +227,61 @@ def _format_values(v: np.ndarray, rec: np.ndarray) -> np.ndarray:
 # values per block: enough to amortize the per-block numpy calls, few enough
 # that a block's records and temporaries stay a few MB
 _BLOCK_VALUES = 1 << 14
+# the longest %.17g text, "-1.2345678901234567e-308", and its separator
+_MAX_TEXT = 25
 
 
-def _append_rows(buf: bytearray, rows: np.ndarray) -> None:
-    """Append each row of a 2-D array as a line of %.17g values."""
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
+    """head, then each row of a 2-D array as a line of %.17g values, in one
+    presized buffer; odd blocks go to a helper thread when there are two
+    CPUs and two blocks (see the module docstring)."""
     rows = np.asarray(rows, dtype=np.float64)
     nrows, ncols = rows.shape
     step = max(1, _BLOCK_VALUES // ncols)
+    starts = range(0, nrows, step)
     rec = np.tile(_TEMPLATE, (min(step, nrows), ncols, 1))
     rec[:, -1, _SEP] = ord("\n")
     rec = rec.reshape(-1, _WIDTH)
-    for start in range(0, nrows, step):
-        buf += _format_values(rows[start : start + step].ravel(), rec).data
+    buf = bytearray(len(head) + _MAX_TEXT * rows.size)
+    buf[: len(head)] = head
+    end = len(head)
+
+    def block(start: int, record: np.ndarray) -> np.ndarray:
+        return _format_values(rows[start : start + step].ravel(), record)
+
+    pool = None
+    if len(starts) >= 2 and _cpu_count() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool, helper_rec = ThreadPoolExecutor(1), rec.copy()
+    try:
+        # with a helper, it formats each odd block while the caller formats
+        # the even block before it
+        for i, start in enumerate(starts):
+            if pool is not None and i % 2 == 0 and i + 1 < len(starts):
+                ahead = pool.submit(block, starts[i + 1], helper_rec)
+            text = ahead.result() if pool is not None and i % 2 else block(start, rec)
+            buf[end : end + text.size] = text.data
+            end += text.size
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    del buf[end:]
+    return buf
 
 
-def _header(header_comments: list[str] | None, *lines: str) -> bytearray:
-    """A buffer holding the '# ' comment lines, then the given lines."""
+def _header(header_comments: list[str] | None, *lines: str) -> bytes:
+    """The '# ' comment lines, then the given lines."""
     text = "".join(f"# {c}\n" for c in header_comments or [])
     text += "".join(f"{line}\n" for line in lines)
-    return bytearray(text.encode("utf-8"))
+    return text.encode("utf-8")
 
 
 def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> bytearray:
@@ -249,9 +289,8 @@ def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) 
     nx rows of np comma-separated values (row-major)."""
     w = grid.window
     bounds = ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
-    buf = _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
-    _append_rows(buf, grid.values)
-    return buf
+    head = _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
+    return _csv_bytes(head, grid.values)
 
 
 def cut_to_csv(
@@ -262,9 +301,8 @@ def cut_to_csv(
     value_label: str = "W",
 ) -> bytearray:
     """Serialize a 1-D profile as '<axis>,<value_label>' rows."""
-    buf = _header(header_comments, f"{axis},{value_label}")
-    _append_rows(buf, np.column_stack((coords, values)))
-    return buf
+    head = _header(header_comments, f"{axis},{value_label}")
+    return _csv_bytes(head, np.column_stack((coords, values)))
 
 
 def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, float]:
@@ -273,25 +311,32 @@ def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, flo
     linear: [min, max] -> [0, 1].
     signed: symmetric about zero, [-M, M] -> [0, 1] with M = max|v|.
     logabs: ln(max(|v|, 1e-300)) then linear; the floor keeps zeros finite.
+
+    unit is one new array, mapped in place; values is left unchanged.
     """
-    if mapping == MAP_LINEAR:
-        lo, hi = float(values.min()), float(values.max())
-        span = hi - lo
-        unit = (values - lo) / span if span > 0.0 else np.zeros_like(values)
-        return unit, lo, hi
     if mapping == MAP_SIGNED:
-        m = float(np.abs(values).max())
+        m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
         if m == 0.0:
             return np.full_like(values, 0.5), -0.0, 0.0
-        unit = (values + m) / (2.0 * m)
+        unit = values + m
+        unit /= 2.0 * m
         return unit, -m, m
-    if mapping == MAP_LOGABS:
-        logs = np.log(np.maximum(np.abs(values), LOG_FLOOR))
-        lo, hi = float(logs.min()), float(logs.max())
-        span = hi - lo
-        unit = (logs - lo) / span if span > 0.0 else np.zeros_like(logs)
-        return unit, lo, hi
-    raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
+    if mapping == MAP_LINEAR:
+        unit = np.array(values, dtype=np.float64)
+    elif mapping == MAP_LOGABS:
+        unit = np.abs(values, dtype=np.float64)
+        np.maximum(unit, LOG_FLOOR, out=unit)
+        np.log(unit, out=unit)
+    else:
+        raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
+    lo, hi = float(unit.min()), float(unit.max())
+    span = hi - lo
+    if span > 0.0:
+        unit -= lo
+        unit /= span
+    else:
+        unit.fill(0.0)
+    return unit, lo, hi
 
 
 def grid_to_pgm(
@@ -309,7 +354,8 @@ def grid_to_pgm(
         raise ValueError(f"bits must be 8 or 16, got {bits}")
     unit, lo, hi = map_values(grid.values, mapping)
     maxval = (1 << bits) - 1
-    pixels = np.rint(unit * maxval).astype(np.uint16 if bits == 16 else np.uint8)
+    unit *= maxval
+    np.rint(unit, out=unit)
     w = grid.window
     header = [
         "P5",
@@ -320,11 +366,7 @@ def grid_to_pgm(
     header.append(f"{w.np} {w.nx}")
     header.append(str(maxval))
     head = ("\n".join(header) + "\n").encode("ascii")
-    if bits == 16:
-        body = pixels.astype(">u2").tobytes()
-    else:
-        body = pixels.tobytes()
-    return head + body
+    return head + unit.astype(">u2" if bits == 16 else np.uint8).tobytes()
 
 
 def log_profile(values: np.ndarray) -> np.ndarray:

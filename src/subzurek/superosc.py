@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 # Largest exactly representable magnitude before float64 conversion overflows.
@@ -171,6 +170,8 @@ def eval_f_fourier(table: CoeffTable, params: SuperoscParams, x: float) -> compl
         raise ValueError(
             f"coefficient table built for {table.params}, evaluated with {params}"
         )
+    import mpmath as mp  # only this evaluator needs it; the CLI starts without it
+
     n = params.n
     with mp.workdps(_working_digits(params)):
         xx = mp.mpf(x)

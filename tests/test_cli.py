@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subzurek
 from subzurek import oracle, wigner
 from subzurek.cli import (
     EXIT_ANALYSIS,
@@ -208,6 +211,18 @@ class TestValidate:
     def test_cat_gates_pass(self, tmp_path, monkeypatch):
         assert run(["validate", "--preset", "cat", "--points", "8"], tmp_path, monkeypatch) == EXIT_OK
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_exit_2(self, points, tmp_path, monkeypatch, capsys):
+        code = run(["validate", "--preset", "cat", f"--points={points}"], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        captured = capsys.readouterr()
+        assert "--points" in captured.err
+        assert "all gates pass" not in captured.out
+
+    def test_default_points_is_24(self, tmp_path, monkeypatch, capsys):
+        assert run(["validate", "--preset", "cat"], tmp_path, monkeypatch) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:2] == _per_point_gate_lines("cat", 24)
+
 
 def _per_point_gate_lines(preset, n_points):
     """The first two validate gates from the point-at-a-time loop."""
@@ -303,3 +318,13 @@ class TestConfigFile:
 
     def test_missing_parameters_exit_2(self, tmp_path, monkeypatch):
         assert run(["wigner", "--n", "8"], tmp_path, monkeypatch) == EXIT_BAD_PARAMS
+
+
+def test_cli_import_loads_neither_mpmath_nor_a_thread_pool():
+    # both load only where they are used: eval_f_fourier and a CSV export
+    # that starts a helper thread
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subzurek.__file__)))
+    code = "import sys, subzurek.cli; print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from subzurek import export
 from subzurek.export import (
     LOG_FLOOR,
     _BLOCK_VALUES,
-    _append_rows,
+    _MAX_TEXT,
+    _csv_bytes,
     atomic_write_bytes,
     atomic_write_text,
     cut_to_csv,
@@ -67,9 +71,7 @@ def per_value_join(rows) -> bytes:
 
 
 def formatted(rows: np.ndarray) -> bytearray:
-    buf = bytearray()
-    _append_rows(buf, rows)
-    return buf
+    return _csv_bytes(b"", rows)
 
 
 # +-0, the smallest subnormal, the %g switch to exponent form at 1e-4 and
@@ -183,6 +185,100 @@ class TestBlockFormatter:
         assert peak <= 80e6
 
 
+# exact rounding ties (1 + 2^-17 and 1 + 3 2^-17 sit halfway between two
+# 17-digit decimals) and the doubles next to them, all sent to the per-value
+# %.17g
+NEAR_TIES = [t for tie in (1 + 2**-17, -(1 + 3 * 2**-17))
+             for t in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf))]
+LONGEST = -1.2345678901234567e-308
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """Run the export as on a machine that lets the process use 1 or 2 CPUs."""
+    monkeypatch.setattr(export, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+def helper_threads(monkeypatch) -> set:
+    """Record the idents of threads other than the caller's that format blocks."""
+    seen, caller, fmt = set(), threading.get_ident(), export._format_values
+
+    def recording(v, rec):
+        if threading.get_ident() != caller:
+            seen.add(threading.get_ident())
+        return fmt(v, rec)
+
+    monkeypatch.setattr(export, "_format_values", recording)
+    return seen
+
+
+class TestTwoThreads:
+    def test_cpu_count_is_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert export._cpu_count() == len(os.sched_getaffinity(0))
+        assert export._cpu_count() >= 1
+
+    @pytest.mark.parametrize("extra_rows", [0, 1, 37], ids=["even", "one-row-tail", "uneven"])
+    def test_specials_in_every_block(self, cpus, extra_rows, monkeypatch):
+        ncols = 64
+        step = _BLOCK_VALUES // ncols
+        nrows = 5 * step + extra_rows
+        rows = np.random.default_rng(nrows).standard_normal((nrows, ncols))
+        specials = np.array(SPECIAL + NEAR_TIES)
+        for start in range(0, nrows, step):  # blocks of both threads
+            rows[start, : specials.size] = specials
+            rows[min(start + step, nrows) - 1, -specials.size :] = specials[::-1]
+        seen = helper_threads(monkeypatch)
+        assert formatted(rows) == per_value_join(rows)
+        assert len(seen) == (cpus - 1)
+
+    def test_longest_text_fills_the_buffer(self, cpus):
+        rows = np.full((3 * _BLOCK_VALUES // 8 + 5, 8), LONGEST)
+        text = formatted(rows)
+        assert b"%.17g," % LONGEST == b"-1.2345678901234567e-308,"
+        assert len(text) == _MAX_TEXT * rows.size
+        assert text == per_value_join(rows)
+
+    def test_one_block_starts_no_thread(self, cpus, monkeypatch):
+        seen = helper_threads(monkeypatch)
+        rows = np.random.default_rng(3).standard_normal((_BLOCK_VALUES // 4, 4))
+        assert formatted(rows) == per_value_join(rows)
+        assert not seen
+
+    def test_threads_end_with_the_call(self, cpus):
+        before = threading.active_count()
+        rows = np.random.default_rng(5).standard_normal((4 * _BLOCK_VALUES // 16, 16))
+        assert formatted(rows) == per_value_join(rows)
+        assert threading.active_count() == before
+
+    def test_order_holds_under_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(export, "_cpu_count", lambda: 2)
+        rows = np.random.default_rng(9).standard_normal((9 * _BLOCK_VALUES // 32 + 3, 32))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            text = formatted(rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert text == per_value_join(rows)
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(export, "_cpu_count", lambda: 2)
+        caller, fmt = threading.get_ident(), export._format_values
+
+        def failing(v, rec):
+            if threading.get_ident() != caller:
+                raise ArithmeticError("helper block")
+            return fmt(v, rec)
+
+        monkeypatch.setattr(export, "_format_values", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper block"):
+            formatted(np.ones((4 * _BLOCK_VALUES // 16, 16)))
+        assert threading.active_count() == before
+
+
 class TestValueMaps:
     def test_linear(self):
         v = np.array([[1.0, 3.0], [2.0, 5.0]])
@@ -241,6 +337,37 @@ class TestPgm:
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError, match="bits"):
             grid_to_pgm(small_grid(), "linear", bits=12)
+
+
+def unit_before_in_place(values, mapping):
+    """map_values as it was written before it mapped in place."""
+    if mapping == "linear":
+        lo, hi = values.min(), values.max()
+        return (values - lo) / (hi - lo)
+    if mapping == "signed":
+        m = np.abs(values).max()
+        return (values + m) / (2.0 * m)
+    logs = np.log(np.maximum(np.abs(values), LOG_FLOOR))
+    lo, hi = logs.min(), logs.max()
+    return (logs - lo) / (hi - lo)
+
+
+class TestPgmInPlace:
+    @pytest.mark.parametrize("mapping", ["linear", "signed", "logabs"])
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_bytes_match_rint_of_scaled_unit(self, mapping, bits):
+        rng = np.random.default_rng(bits)
+        values = rng.standard_normal((33, 21)) * np.exp(-rng.uniform(0.0, 700.0, (33, 21)))
+        values[::5, ::4] = 0.0
+        values[1, 1] = -0.0
+        grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -2.0, 2.0, 33, 21), values)
+        before = values.copy()
+        maxval = (1 << bits) - 1
+        pixels = np.rint(unit_before_in_place(values, mapping) * maxval)
+        body = pixels.astype(np.uint16 if bits == 16 else np.uint8)
+        body = body.astype(">u2").tobytes() if bits == 16 else body.tobytes()
+        assert grid_to_pgm(grid, mapping, bits=bits).split(b"\n%d\n" % maxval, 1)[1] == body
+        assert grid.values.tobytes() == before.tobytes()
 
 
 class TestAtomicWrite:
