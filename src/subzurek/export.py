@@ -232,7 +232,12 @@ _MAX_TEXT = 25
 
 
 def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on.
+
+    On one CPU a helper thread buys no time and its malloc arena stays
+    resident (BENCH_10.json "one_cpu").  A CPU quota is not seen here, only
+    the affinity mask.
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

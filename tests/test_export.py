@@ -214,11 +214,6 @@ def helper_threads(monkeypatch) -> set:
 
 
 class TestTwoThreads:
-    def test_cpu_count_is_the_affinity(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert export._cpu_count() == len(os.sched_getaffinity(0))
-        assert export._cpu_count() >= 1
-
     @pytest.mark.parametrize("extra_rows", [0, 1, 37], ids=["even", "one-row-tail", "uneven"])
     def test_specials_in_every_block(self, cpus, extra_rows, monkeypatch):
         ncols = 64
