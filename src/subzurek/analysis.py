@@ -35,6 +35,7 @@ from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, fine
 
 OVERSPILL_WARN_RATIO = 0.1
 _RHS_FLOOR = 1e-280
+_CUT_SAMPLES_PER_FRINGE = 64
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,10 @@ def zurek_scale(L: float, P: float, constants: PhysicalConstants) -> float:
     return (h / P) * (h / L)
 
 
-def recommended_cut_samples(
-    window: float, L: float, alpha: float, constants: PhysicalConstants, per_fringe: int = 64
-) -> int:
-    """Sample count giving >= per_fringe samples per finest fringe h/(2 L alpha)."""
+def recommended_cut_samples(window: float, L: float, alpha: float, constants: PhysicalConstants) -> int:
+    """Sample count giving >= 64 samples per finest fringe h/(2 L alpha)."""
     fringe = finest_fringe(L, alpha, constants)
-    return max(256, int(math.ceil(per_fringe * window / fringe)) + 1)
+    return max(256, int(math.ceil(_CUT_SAMPLES_PER_FRINGE * window / fringe)) + 1)
 
 
 def crossings_from_samples(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -160,14 +159,13 @@ def superosc_scale(
     )
 
 
-def overspill_check(state: StateSpec, constants: PhysicalConstants | None = None) -> OverspillResult:
+def overspill_check(state: StateSpec) -> OverspillResult:
     """Compare the two neighbor components' Wigner weight at the origin with
     the full interference value there.
 
     lhs is the sum of the two isolated-component (diagonal-pair) kernels of
     the components adjacent to the central one; rhs is |W(0,0)| of the full
     state.  Emits a warning when the ratio exceeds 0.1 (structure drowned)."""
-    constants = constants or state.constants
     if len(state.components) < 3:
         raise ValueError(
             "overspill check needs a central component with two adjacent "
@@ -178,7 +176,7 @@ def overspill_check(state: StateSpec, constants: PhysicalConstants | None = None
     if i0 == 0 or i0 == len(comps) - 1:
         raise ValueError("central component has no neighbor on both sides")
     lhs = sum(
-        float(pair_kernel(c, c, 0.0, 0.0, constants).real) for c in (comps[i0 - 1], comps[i0 + 1])
+        float(pair_kernel(c, c, 0.0, 0.0, state.constants).real) for c in (comps[i0 - 1], comps[i0 + 1])
     )
     rhs = abs(eval_wigner(state, 0.0, 0.0))
     if rhs < _RHS_FLOOR:

@@ -9,8 +9,13 @@ validate     run the quadrature-oracle gates, exit nonzero on failure
 sensitivity  scan overlap decay under phase-space displacement
 
 Configuration is resolved as: explicit flags > config file > preset
-defaults.  The resolved configuration is echoed into every output header.
-All file writes are atomic (temp + rename) and byte-deterministic.
+defaults.  A config file (--config) holds flat `key = value` lines, and each
+key is a flag name written with `_` or `-`.  A line is read as the flag
+--key=value, so its value is checked exactly as the flag's would be: type,
+choices, and argparse's prefix matching of flag names.  allow_undersampled
+takes true or false.  The resolved configuration is echoed into every
+output header.  All file writes are atomic (temp + rename) and
+byte-deterministic.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 undersampled grid forced without
 --allow-undersampled, 4 analysis failure, 5 validation gate failure.
@@ -96,11 +101,11 @@ class Scenario:
         """Finest expected fringe h/(2 L alpha) along p."""
         return wigner.finest_fringe(self.extent_L, self.alpha, self.constants)
 
-    def build_state(self, normalize: bool = True) -> StateSpec:
+    def build_state(self) -> StateSpec:
         if self.kind == "cat":
-            return states.build_cat(self.delta_x, self.xi, self.constants, normalize=normalize)
+            return states.build_cat(self.delta_x, self.xi, self.constants)
         params = SuperoscParams(n=self.n, alpha=self.alpha)
-        return states.build_psi(params, self.delta_x, self.xi, self.constants, normalize=normalize)
+        return states.build_psi(params, self.delta_x, self.xi, self.constants)
 
     def build_source(self, source_kind: str = "auto"):
         state = self.build_state()
@@ -111,8 +116,12 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # configuration resolution
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_tokens(path: str) -> list[str]:
+    """Read each `key = value` line as the flag token --key=value.
+
+    argparse then checks the value exactly as it checks the flag.  The `=`
+    form keeps negative values such as `grid = -16:16:17,...` whole."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -121,34 +130,14 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"config line {line!r} is not 'key = value'")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_CONFIG_CASTS = {
-    "n": int,
-    "alpha": float,
-    "xi": float,
-    "delta_x": float,
-    "hbar": float,
-    "points": int,
-    "steps": int,
-    "max_delta": float,
-    "bits": int,
-    "allow_undersampled": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        fields = _read_config_file(args.config)
-        for key, text in fields.items():
-            if not hasattr(args, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, key) is None or getattr(args, key) is False:
-                cast = _CONFIG_CASTS.get(key, str)
-                setattr(args, key, cast(text))
-    return args
+            flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+            if flag != "--allow-undersampled":
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+            elif value.lower() not in ("0", "false", "no"):
+                raise ValueError(f"config allow_undersampled takes true or false, got {value!r}")
+    return tokens
 
 
 def resolve_scenario(args: argparse.Namespace, require_geometry: bool = True) -> Scenario:
@@ -335,7 +324,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         crossings = analysis.central_cut_crossings(state, "p_cut_at_x0", window, samples)
         report = analysis.superosc_scale(crossings, L, P, constants)
         if len(state.components) >= 3:
-            spill = analysis.overspill_check(state, constants)
+            spill = analysis.overspill_check(state)
             report = replace(report, overspill_lhs=spill.lhs, overspill_rhs=spill.rhs)
             spill_note = (
                 f"overspill ratio = {spill.ratio:.6g} "
@@ -494,9 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # config tokens come before the typed flags, so a typed flag wins
+            args, extra = parser.parse_known_args(
+                [args.command] + _config_tokens(args.config) + argv[1:]
+            )
+            if extra:
+                raise ValueError(f"unknown config key {' '.join(extra)!r}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

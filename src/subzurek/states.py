@@ -59,6 +59,8 @@ class GaussianComponent:
     def __post_init__(self):
         if not (self.xi > 0.0) or not math.isfinite(self.xi):
             raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"component center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,6 @@ class StateSpec:
         if len(xis) > 1:
             raise ValueError(f"components carry mixed xi values {sorted(xis)}")
         return self.components[0].xi
-
-    @property
-    def extent(self) -> float:
-        """Distance between the outermost component centers."""
-        centers = self.centers
-        return float(centers.max() - centers.min())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

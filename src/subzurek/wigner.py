@@ -52,6 +52,7 @@ QUARTER_TURN = "quarter_turn"
 _ROTATIONS = (IDENTITY, QUARTER_TURN)
 
 WEIGHT_TOL = 1e-12
+_MARGINAL_ENVELOPE_TOL = 1e-14  # largest momentum envelope allowed at a grid's p edge
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ def _trapz2d(values: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> float:
     return float(np.trapezoid(np.trapezoid(values, ps, axis=1), xs))
 
 
-def marginal_x(grid: PhaseSpaceGrid, state: StateSpec, envelope_tol: float = 1e-14) -> np.ndarray:
+def marginal_x(grid: PhaseSpaceGrid, state: StateSpec) -> np.ndarray:
     """Position marginal int W dp per x-column (trapezoidal).
 
     For an adequate p-window this equals |psi(x)|^2.  The window check uses
@@ -332,9 +333,9 @@ def marginal_x(grid: PhaseSpaceGrid, state: StateSpec, envelope_tol: float = 1e-
     # both boundaries must sit in the momentum tail; the nearer one is worst
     p_edge = min(abs(grid.window.p_min), abs(grid.window.p_max))
     envelope = math.exp(-(p_edge**2) * xi * xi / (hbar * hbar))
-    if envelope > envelope_tol:
+    if envelope > _MARGINAL_ENVELOPE_TOL:
         raise ValueError(
-            f"p-window too narrow: boundary envelope {envelope:.3e} > {envelope_tol:.1e}"
+            f"p-window too narrow: boundary envelope {envelope:.3e} > {_MARGINAL_ENVELOPE_TOL:.1e}"
         )
     return np.trapezoid(grid.values, grid.p_coords(), axis=1)
 

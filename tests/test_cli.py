@@ -26,6 +26,14 @@ def run(args, tmp_path, monkeypatch):
     return main(args)
 
 
+def exit_code(args, tmp_path, monkeypatch):
+    """main's return code, or the code argparse exits with on a bad value."""
+    try:
+        return run(args, tmp_path, monkeypatch)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestPresetFidelity:
     def test_caption_parameters(self):
         assert PRESETS["fig1"] == dict(
@@ -202,6 +210,21 @@ class TestAnalyze:
         assert "analysis failed" in capsys.readouterr().err
 
 
+class TestNonFiniteGeometry:
+    # a comb's j = 0 center is 0 * inf = nan; a cat's centers are +-inf
+    @pytest.mark.parametrize("command", [["analyze"], ["validate"], ["wigner", "--cut", "p"]],
+                             ids=["analyze", "validate", "wigner-cut"])
+    @pytest.mark.parametrize("scenario", [
+        ["--n", "4", "--alpha", "2", "--xi", "0.25"], ["--preset", "cat"],
+    ], ids=["comb", "cat"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_spacing_exits_2(self, command, scenario, value, tmp_path, monkeypatch, capsys):
+        code = run(command + scenario + [f"--delta-x={value}", "--out", "o"], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
     def test_fig1_gates_pass(self, tmp_path, monkeypatch, capsys):
         assert run(["validate", "--preset", "fig1", "--points", "8"], tmp_path, monkeypatch) == EXIT_OK
@@ -281,6 +304,9 @@ class TestSensitivity:
 
     @pytest.mark.parametrize("key, value", [
         ("max_delta", "-1"), ("max_delta", "0"), ("max_delta", "inf"), ("steps", "0"),
+        # rejected by the parser itself: type and choices
+        ("max_delta", "wide"), ("steps", "many"), ("direction", "up"), ("source", "both"),
+        ("preset", "nope"),
     ])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_bad_scan_input_exits_2(self, key, value, via, tmp_path, monkeypatch, capsys):
@@ -290,10 +316,18 @@ class TestSensitivity:
             cfg = tmp_path / "scan.cfg"
             cfg.write_text(f"{key} = {value}\n")
             extra = ["--config", str(cfg)]
-        code = run(["sensitivity", "--preset", "cat", "--out", "s"] + extra, tmp_path, monkeypatch)
+        code = exit_code(["sensitivity", "--preset", "cat", "--out", "s"] + extra, tmp_path, monkeypatch)
         assert code == EXIT_BAD_PARAMS
-        assert key.split("_")[-1] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key.split("_")[-1] in err
+        assert "Traceback" not in err
         assert not (tmp_path / "s_sensitivity.csv").exists()
+
+
+SENSITIVITY = ["sensitivity", "--preset", "cat", "--out", "s"]
+WIGNER = ["wigner", "--preset", "cat", "--out", "w"]
+WIGNER_GRID = WIGNER + ["--grid=-7:7:33,-7:7:257"]
+UNDERSAMPLED = ["wigner", "--preset", "fig1", "--grid=-1:1:32,-1:1:32", "--out", "w"]
 
 
 class TestConfigFile:
@@ -318,6 +352,72 @@ class TestConfigFile:
 
     def test_missing_parameters_exit_2(self, tmp_path, monkeypatch):
         assert run(["wigner", "--n", "8"], tmp_path, monkeypatch) == EXIT_BAD_PARAMS
+
+    # (argv without the key, key, value, another value for the override)
+    CASES = [
+        (SENSITIVITY, "source", "cross", "pure"),
+        (SENSITIVITY, "direction", "x", "diag"),
+        (SENSITIVITY, "steps", "41", "21"),
+        (SENSITIVITY, "max_delta", "2", "3"),
+        (WIGNER_GRID, "format", "pgm", "both"),
+        (WIGNER_GRID + ["--format", "pgm"], "map", "logabs", "linear"),
+        (WIGNER_GRID + ["--format", "pgm"], "bits", "8", "16"),
+        (WIGNER, "cut", "p", "x"),
+        (WIGNER, "grid", "-7:7:33,-7:7:257", "-6:6:17,-6:6:257"),
+        (["validate", "--preset", "cat"], "points", "3", "2"),
+    ]
+
+    @staticmethod
+    def _flag(key, value):
+        flag = f"--{key.replace('_', '-')}"
+        return [flag if value == "true" else f"{flag}={value}"]
+
+    @staticmethod
+    def _outputs(args, workdir, monkeypatch, capsys):
+        workdir.mkdir()
+        assert run(args, workdir, monkeypatch) == EXIT_OK
+        return {p.name: p.read_bytes() for p in workdir.iterdir()}, capsys.readouterr().out
+
+    @pytest.mark.parametrize("base, key, value, other", CASES + [
+        (UNDERSAMPLED, "allow_undersampled", "true", None),
+    ], ids=[case[1] for case in CASES] + ["allow_undersampled"])
+    def test_config_value_matches_flag(self, base, key, value, other, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_flag = self._outputs(base + self._flag(key, value), tmp_path / "flag", monkeypatch, capsys)
+        by_config = self._outputs(base + ["--config", str(cfg)], tmp_path / "config", monkeypatch, capsys)
+        assert by_config == by_flag
+
+    @pytest.mark.parametrize("base, key, value, other", CASES + [
+        (UNDERSAMPLED, "allow_undersampled", "false", "true"),
+    ], ids=[case[1] for case in CASES] + ["allow_undersampled"])
+    def test_flag_overrides_config(self, base, key, value, other, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = self._flag(key, other)
+        by_flag = self._outputs(base + flag, tmp_path / "flag", monkeypatch, capsys)
+        both = self._outputs(base + ["--config", str(cfg)] + flag, tmp_path / "both", monkeypatch, capsys)
+        assert both == by_flag
+
+    @pytest.mark.parametrize("line", [
+        "preset = nope", "format = xyz", "map = log", "bits = 12", "allow_undersampled = maybe",
+        "grid", "= 3",
+    ])
+    def test_bad_wigner_config_exits_2(self, line, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = exit_code(WIGNER_GRID + ["--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_negative_grid_from_config_reaches_fringe_gate(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig2b\ngrid = -16:16:17,-4:4:8000\n")
+        code = run(["wigner", "--config", str(cfg), "--out", "w"], tmp_path, monkeypatch)
+        assert code == EXIT_UNDERSAMPLED
+        assert "17 x-samples" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
 
 def test_cli_import_loads_neither_mpmath_nor_a_thread_pool():

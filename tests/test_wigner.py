@@ -411,7 +411,7 @@ class TestRoundoffFloor:
         scenario = resolve_scenario(argparse.Namespace(preset=preset))
         state = scenario.build_state()
         source = cross_state(state) if source_kind == "cross" else state
-        half = CONST.h / state.extent / 2.0
+        half = CONST.h / np.ptp(state.centers) / 2.0
         ps = np.concatenate(([0.0], np.linspace(-half, half, 16)))
         got = eval_wigner(source, 0.0, ps)
         assert got[0] == eval_wigner(source, 0.0, 0.0)
@@ -464,7 +464,7 @@ class TestCompassMixture:
     def test_arms_at_half_extent(self):
         mix = compass_mixture(24.0, 1.0, CONST)
         states = [t.state for t in mix.terms]
-        assert all(st.extent == 24.0 for st in states)
+        assert all(np.ptp(st.centers) == 24.0 for st in states)
         rotations = {t.rotation for t in mix.terms}
         assert rotations == {IDENTITY, QUARTER_TURN}
 
