@@ -13,9 +13,9 @@ defaults.  A config file (--config) holds flat `key = value` lines, and each
 key is a flag name written with `_` or `-`.  A line is read as the flag
 --key=value, so its value is checked exactly as the flag's would be: type,
 choices, and argparse's prefix matching of flag names.  allow_undersampled
-takes true or false.  The resolved configuration is echoed into every
-output header.  All file writes are atomic (temp + rename) and
-byte-deterministic.
+takes true or false; a config file cannot name another one.  The resolved
+configuration is echoed into every output header.  All file writes are
+atomic (temp + rename) and byte-deterministic.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 undersampled grid forced without
 --allow-undersampled, 4 analysis failure, 5 validation gate failure.
@@ -349,9 +349,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    n_points = 24 if args.points is None else args.points
-    if n_points < 1:
-        raise CliError(f"--points must be >= 1, got {n_points}", EXIT_BAD_PARAMS)
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}", EXIT_BAD_PARAMS)
     scenario = resolve_scenario(args)
     state = scenario.build_state()
     constants = scenario.constants
@@ -363,7 +362,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     points = np.array([
         (rng.uniform(-half - 2 * xi, half + 2 * xi),
          rng.uniform(-3.5 * constants.hbar / xi, 3.5 * constants.hbar / xi))
-        for _ in range(n_points)
+        for _ in range(args.points)
     ]).reshape(-1, 2)
     xs, ps = points.T
     closed = wigner.eval_wigner(state, xs, ps)
@@ -379,20 +378,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     gates.append(("norm closed-form vs quadrature (rel)", abs(n2 - nq) / nq, 1e-8))
     gates.append(("normalization |<psi|psi>-1|", abs(n2 - 1.0), 1e-10))
 
+    # the marginal and total integral are exact over the whole p line and plane
     window = wigner.suggested_window(state)
-    L = scenario.extent_L
-    nx_int = wigner.integration_samples(window.x_max - window.x_min, 0.0, xi)
-    np_int = wigner.integration_samples(
-        window.p_max - window.p_min, L / constants.hbar, constants.hbar / xi
-    )
-    grid = wigner.eval_grid(
-        state,
-        GridWindow(window.x_min, window.x_max, window.p_min, window.p_max, nx_int, np_int),
-    )
-    marg = wigner.marginal_x(grid, state)
-    psi2 = np.abs(states.eval_psi(state, grid.x_coords())) ** 2
-    gates.append(("marginal vs |psi|^2 (abs)", float(np.max(np.abs(marg - psi2))), 1e-6))
-    gates.append(("total integral - 1", abs(wigner.total_integral(grid) - 1.0), 1e-6))
+    width = window.x_max - window.x_min
+    lattice = np.linspace(window.x_min, window.x_max, wigner.integration_samples(width, 0.0, xi))
+    marg = wigner.marginal_x(state, lattice)
+    psi2 = np.abs(states.eval_psi(state, lattice)) ** 2
+    gates.append(("marginal vs |psi|^2 (abs)", float(np.max(np.abs(marg - psi2))), 1e-12))
+    gates.append(("total integral - 1", abs(wigner.total_integral(state) - 1.0), 1e-12))
 
     failed = []
     for name, value, tol in gates:
@@ -411,9 +404,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     source = scenario.build_source(args.source)
     direction = {"x": (1.0, 0.0), "p": (0.0, 1.0), "diag": (1.0, 1.0)}[args.direction]
     margin = analysis.default_scan_margin(source) if args.max_delta is None else args.max_delta
-    ts, ov = analysis.overlap_decay_scan(
-        source, direction, margin, 161 if args.steps is None else args.steps
-    )
+    ts, ov = analysis.overlap_decay_scan(source, direction, margin, args.steps)
     scale = analysis.last_half_crossing(ts, ov)
     prefix = args.out or (args.preset or "sensitivity")
     header = [
@@ -467,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run quadrature-oracle gates")
     _add_scenario_flags(sp)
-    sp.add_argument("--points", type=int, default=None, help="random phase-space points per gate")
+    sp.add_argument("--points", type=int, default=24, help="random phase-space points per gate")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("sensitivity", help="overlap decay under displacement")
@@ -475,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", choices=("auto", "pure", "cross"), default="auto")
     sp.add_argument("--direction", choices=("x", "p", "diag"), default="p")
     sp.add_argument("--max-delta", dest="max_delta", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=161)
     sp.set_defaults(func=cmd_sensitivity)
 
     return parser
@@ -487,10 +478,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
+            tokens = _config_tokens(args.config)
+            # a nested file would be silently dropped: the typed --config wins
+            if parser.parse_known_args([args.command] + tokens)[0].config is not None:
+                raise ValueError(f"config file {args.config!r} names another config file")
             # config tokens come before the typed flags, so a typed flag wins
-            args, extra = parser.parse_known_args(
-                [args.command] + _config_tokens(args.config) + argv[1:]
-            )
+            args, extra = parser.parse_known_args([args.command] + tokens + argv[1:])
             if extra:
                 raise ValueError(f"unknown config key {' '.join(extra)!r}")
         return args.func(args)

@@ -66,11 +66,6 @@ class SuperoscParams:
         """Highest frequency present in the Fourier form (= n)."""
         return float(self.n)
 
-    @property
-    def local_rate(self) -> float:
-        """Local oscillation rate n*alpha of f at the origin."""
-        return self.n * self.alpha
-
 
 @dataclass(frozen=True)
 class CoeffTable:

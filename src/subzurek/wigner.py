@@ -27,10 +27,15 @@ that turns a source into the table of those five parameters per column: a
 mixture concatenates its terms' columns, and a quarter-turned term swaps
 its two factors.  Everything else reads the table.  A grid is one matrix
 product of the evaluated columns, and a point or cut a row-wise sum of
-X * P.  suggested_window is six sigma past every column's mu.  A
-phase-space overlap, shifted or not, is a product of small R x R Gram
-matrices whose entries are exact Gaussian integrals over the real line: no
-grid, window or sampling rule.
+X * P.  suggested_window is six sigma past every column's mu.  Every
+integral of W over a whole axis is closed form too, with no grid, window or
+sampling rule: a column integrates to A sigma sqrt(pi) e^{-omega^2
+sigma^2/4} cos(omega mu + phi) (_integrals), so the position marginal is X
+times the P column integrals and the total integral the product of both
+sides' integrals.  A phase-space overlap, shifted or not, is a product of
+small R x R Gram matrices whose entries are exact Gaussian integrals over
+the real line.  The trapezoid overlap of two grids stays as the reference
+that tests compare these exact forms against.
 
 pair_kernel evaluates one ordered pair as written above, and
 _pair_sum_complex sums it over all ordered pairs.  That complex sum shares
@@ -52,7 +57,6 @@ QUARTER_TURN = "quarter_turn"
 _ROTATIONS = (IDENTITY, QUARTER_TURN)
 
 WEIGHT_TOL = 1e-12
-_MARGINAL_ENVELOPE_TOL = 1e-14  # largest momentum envelope allowed at a grid's p edge
 
 
 @dataclass(frozen=True)
@@ -316,33 +320,10 @@ def eval_cut(source, axis: str, coords: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# integrals on grids
+# trapezoid reference on grids
 
 def _trapz2d(values: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> float:
     return float(np.trapezoid(np.trapezoid(values, ps, axis=1), xs))
-
-
-def marginal_x(grid: PhaseSpaceGrid, state: StateSpec) -> np.ndarray:
-    """Position marginal int W dp per x-column (trapezoidal).
-
-    For an adequate p-window this equals |psi(x)|^2.  The window check uses
-    the analytic momentum envelope e^{-p^2 xi^2 / hbar^2} at the boundary.
-    """
-    xi = state.xi
-    hbar = state.constants.hbar
-    # both boundaries must sit in the momentum tail; the nearer one is worst
-    p_edge = min(abs(grid.window.p_min), abs(grid.window.p_max))
-    envelope = math.exp(-(p_edge**2) * xi * xi / (hbar * hbar))
-    if envelope > _MARGINAL_ENVELOPE_TOL:
-        raise ValueError(
-            f"p-window too narrow: boundary envelope {envelope:.3e} > {_MARGINAL_ENVELOPE_TOL:.1e}"
-        )
-    return np.trapezoid(grid.values, grid.p_coords(), axis=1)
-
-
-def total_integral(grid: PhaseSpaceGrid) -> float:
-    """int int W dx dp (1 for a normalized state on an adequate window)."""
-    return _trapz2d(grid.values, grid.x_coords(), grid.p_coords())
 
 
 def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalConstants) -> float:
@@ -358,7 +339,29 @@ def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalC
 
 
 # ---------------------------------------------------------------------------
-# exact overlaps: closed-form Gram matrices of the factor columns
+# exact integrals: closed forms over the real line of the factor columns
+
+def _integrals(cols: np.ndarray) -> np.ndarray:
+    """int f_r(t) dt over the real line for every column r, in closed form:
+    A sigma sqrt(pi) e^{-omega^2 sigma^2/4} cos(omega mu + phi)."""
+    amp, mu, sigma, omega, phi = cols
+    envelope = np.exp(-0.25 * (omega * sigma) ** 2)
+    return amp * sigma * math.sqrt(math.pi) * envelope * np.cos(omega * mu + phi)
+
+
+def marginal_x(source, xs) -> np.ndarray:
+    """Position marginal int W(x, p) dp at each x, exact over the whole p
+    line: X times the integrals of the P columns.  For a pure state it
+    equals |psi(x)|^2."""
+    cols_x, cols_p = _columns(source)
+    return _eval_columns(cols_x, np.asarray(xs, dtype=float)) @ _integrals(cols_p)
+
+
+def total_integral(source) -> float:
+    """int int W dx dp over the whole plane, exact (1 for a normalized state)."""
+    cols_x, cols_p = _columns(source)
+    return float(_integrals(cols_x) @ _integrals(cols_p))
+
 
 def _gram(cols: np.ndarray, d: float = 0.0) -> np.ndarray:
     """G[r, s] = int f_r(t) f_s(t - d) dt over the real line, in closed form.
@@ -414,7 +417,8 @@ def finest_fringe(L: float, alpha: float, constants: PhysicalConstants) -> float
 
 def integration_samples(width: float, max_rate: float, envelope_width: float) -> int:
     """Trapezoid sample count for grid integrals of Gaussian-enveloped fringes,
-    as in the marginal and total-integral gates of `subzurek validate`.
+    as in the reference grids the exact integrals are tested against; the
+    marginal gate of `subzurek validate` takes its x lattice from it.
 
     Superoscillations are not high frequencies: the integrand's true band
     limit is max_rate (center separation L/hbar for W), and the trapezoid

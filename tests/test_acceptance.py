@@ -196,12 +196,12 @@ def test_criterion_7_wigner_axioms():
         state = build_preset(name)
         L = preset_extent(name)
         grid = eval_grid(state, integration_window(state, L))
-        total = total_integral(grid)
-        assert abs(total - 1.0) <= 1e-6, f"{name}: integral {total}"
-        marg = marginal_x(grid, state)
+        total = total_integral(state)
+        assert abs(total - 1.0) <= 1e-12, f"{name}: integral {total}"
+        marg = marginal_x(state, grid.x_coords())
         dens = np.abs(eval_psi(state, grid.x_coords())) ** 2
         marg_dev = float(np.max(np.abs(marg - dens)))
-        assert marg_dev <= 1e-6, f"{name}: marginal deviation {marg_dev:.3e}"
+        assert marg_dev <= 1e-12, f"{name}: marginal deviation {marg_dev:.3e}"
         assert float(np.max(np.abs(grid.values))) <= bound, f"{name}: bound violated"
         sq = eval_grid(state, integration_window(state, L, squared=True))
         pur = overlap(sq, sq, CONST)

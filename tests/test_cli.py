@@ -246,6 +246,27 @@ class TestValidate:
         assert run(["validate", "--preset", "cat"], tmp_path, monkeypatch) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[:2] == _per_point_gate_lines("cat", 24)
 
+    def test_builds_no_grid(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        eval_grid = wigner.eval_grid
+
+        def counting(*args):
+            calls.append(args)
+            return eval_grid(*args)
+
+        monkeypatch.setattr(wigner, "eval_grid", counting)
+        assert run(["validate", "--preset", "fig2b", "--points", "4"], tmp_path, monkeypatch) == EXIT_OK
+        assert calls == []
+        assert "all gates pass" in capsys.readouterr().out
+
+    def test_marginal_off_by_1e9_exits_5(self, tmp_path, monkeypatch, capsys):
+        marginal_x = wigner.marginal_x
+        monkeypatch.setattr(wigner, "marginal_x", lambda source, xs: marginal_x(source, xs) + 1e-9)
+        code = run(["validate", "--preset", "fig2b", "--points", "4"], tmp_path, monkeypatch)
+        assert code == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL  marginal vs |psi|^2" in out and "all gates pass" not in out
+
 
 def _per_point_gate_lines(preset, n_points):
     """The first two validate gates from the point-at-a-time loop."""
@@ -410,6 +431,17 @@ class TestConfigFile:
         assert code == EXIT_BAD_PARAMS
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_nested_config_exits_2(self, key, tmp_path, monkeypatch, capsys):
+        # argparse's prefix matching reads `conf` as --config as well
+        (tmp_path / "inner.cfg").write_text("direction = x\n")
+        cfg = tmp_path / "outer.cfg"
+        cfg.write_text(f"steps = 5\n{key} = inner.cfg\n")
+        code = exit_code(SENSITIVITY + ["--config", str(cfg)], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert "another config file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inner.cfg", "outer.cfg"]
 
     def test_negative_grid_from_config_reaches_fringe_gate(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"

@@ -27,6 +27,8 @@ from subzurek.wigner import (
     MixtureSpec,
     MixtureTerm,
     PhaseSpaceGrid,
+    _eval_columns,
+    _integrals,
     _pair_sum_complex,
     compass_mixture,
     cross_state,
@@ -286,29 +288,43 @@ def product_grid(source, L):
 class TestMarginals:
     def test_single_gaussian_marginal_is_position_density(self):
         st = single_gaussian()
-        window = GridWindow(-8.0, 8.0, -8.0, 8.0, 257, 257)
-        grid = eval_grid(st, window)
-        marg = marginal_x(grid, st)
-        dens = np.abs(eval_psi(st, grid.x_coords())) ** 2
-        assert np.max(np.abs(marg - dens)) <= 1e-8
+        xs = np.linspace(-8.0, 8.0, 257)
+        dens = np.abs(eval_psi(st, xs)) ** 2
+        assert np.max(np.abs(marginal_x(st, xs) - dens)) <= 1e-12
 
     def test_fig1_marginal_matches_density(self):
         st = fig1_state()
-        grid = eval_grid(st, integration_grid(st, 24.0))
-        marg = marginal_x(grid, st)
-        dens = np.abs(eval_psi(st, grid.x_coords())) ** 2
-        assert np.max(np.abs(marg - dens)) <= 1e-6
+        xs = integration_grid(st, 24.0).x_coords()
+        dens = np.abs(eval_psi(st, xs)) ** 2
+        assert np.max(np.abs(marginal_x(st, xs) - dens)) <= 1e-12
+
+    def test_column_integrals_match_trapezoid(self):
+        # generic columns: no source has both omega and mu nonzero, which
+        # would leave the sign of phi in the closed form untested
+        rng = np.random.default_rng(7)
+        cols = np.array([rng.uniform(0.5, 2.0, 6), rng.uniform(-3.0, 3.0, 6),
+                         rng.uniform(0.3, 1.5, 6), rng.uniform(-6.0, 6.0, 6),
+                         rng.uniform(-math.pi, math.pi, 6)])
+        t = np.linspace(-15.0, 15.0, 6001)
+        trapz = np.trapezoid(_eval_columns(cols, t), t, axis=0)
+        assert np.max(np.abs(_integrals(cols) - trapz)) <= 1e-12
 
     def test_total_integral_is_one(self):
-        st = fig1_state()
-        grid = eval_grid(st, integration_grid(st, 24.0))
-        assert abs(total_integral(grid) - 1.0) <= 1e-6
+        assert abs(total_integral(fig1_state()) - 1.0) <= 1e-12
 
-    def test_narrow_p_window_rejected(self):
-        st = single_gaussian()
-        grid = eval_grid(st, GridWindow(-8.0, 8.0, -2.0, 2.0, 64, 64))
-        with pytest.raises(ValueError, match="window"):
-            marginal_x(grid, st)
+    @pytest.mark.parametrize("name", ["fig1", "fig2a_cross", "compass"])
+    def test_exact_integrals_match_grid_trapezoid(self, name):
+        source = {
+            "fig1": fig1_state,
+            "fig2a_cross": lambda: cross_state(fig2a_state()),
+            "compass": lambda: compass_mixture(12.0, 1.0, CONST),
+        }[name]()
+        L = 12.0 if name == "compass" else 24.0
+        grid = eval_grid(source, product_grid(source, L))
+        trapz = np.trapezoid(grid.values, grid.p_coords(), axis=1)
+        assert np.max(np.abs(marginal_x(source, grid.x_coords()) - trapz)) <= 1e-12
+        total = np.trapezoid(trapz, grid.x_coords())
+        assert total_integral(source) == pytest.approx(total, rel=0, abs=1e-12)
 
 
 class TestOverlap:
