@@ -17,7 +17,6 @@ from .superosc import (
     phase_gradient,
 )
 from .states import (
-    GaussianComponent,
     PhysicalConstants,
     StateSpec,
     build_cat,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffTable",
-    "GaussianComponent",
     "GridWindow",
     "MixtureSpec",
     "MixtureTerm",

@@ -166,18 +166,16 @@ def overspill_check(state: StateSpec) -> OverspillResult:
     lhs is the sum of the two isolated-component (diagonal-pair) kernels of
     the components adjacent to the central one; rhs is |W(0,0)| of the full
     state.  Emits a warning when the ratio exceeds 0.1 (structure drowned)."""
-    if len(state.components) < 3:
+    if state.centers.size < 3:
         raise ValueError(
             "overspill check needs a central component with two adjacent "
-            f"neighbors; state has {len(state.components)} components"
+            f"neighbors; state has {state.centers.size} components"
         )
-    comps = sorted(state.components, key=lambda c: c.center)
-    i0 = int(np.argmin([abs(c.center) for c in comps]))
-    if i0 == 0 or i0 == len(comps) - 1:
+    order = np.argsort(state.centers, kind="stable")
+    i0 = int(np.argmin(np.abs(state.centers[order])))
+    if i0 == 0 or i0 == order.size - 1:
         raise ValueError("central component has no neighbor on both sides")
-    lhs = sum(
-        float(pair_kernel(c, c, 0.0, 0.0, state.constants).real) for c in (comps[i0 - 1], comps[i0 + 1])
-    )
+    lhs = sum(float(pair_kernel(state, j, j, 0.0, 0.0).real) for j in order[[i0 - 1, i0 + 1]])
     rhs = abs(eval_wigner(state, 0.0, 0.0))
     if rhs < _RHS_FLOOR:
         return OverspillResult(lhs=lhs, rhs=rhs, ratio=math.nan, satisfied=False, indeterminate=True)

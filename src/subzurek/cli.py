@@ -323,7 +323,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         samples = analysis.recommended_cut_samples(window, L, scenario.alpha, constants)
         crossings = analysis.central_cut_crossings(state, "p_cut_at_x0", window, samples)
         report = analysis.superosc_scale(crossings, L, P, constants)
-        if len(state.components) >= 3:
+        if state.centers.size >= 3:
             spill = analysis.overspill_check(state)
             report = replace(report, overspill_lhs=spill.lhs, overspill_rhs=spill.rhs)
             spill_note = (

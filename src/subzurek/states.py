@@ -4,9 +4,11 @@ Every state handled here is a finite superposition of displaced squeezed
 Gaussians sharing one width xi,
 
     psi(x) = sum_j coeff_j * s(x - center_j),
-    s(x)   = (pi xi^2)^{-1/4} e^{-x^2 / (2 xi^2)},
+    s(x)   = (pi xi^2)^{-1/4} e^{-x^2 / (2 xi^2)}.
 
-which keeps every overlap and Wigner integral in closed form:
+A StateSpec holds the centers and coefficients as two read-only arrays and
+the width once, so a state of mixed widths cannot be built.  The one width
+keeps every overlap and Wigner integral in closed form:
 
     <s(.-a) | s(.-b)> = e^{-(a-b)^2 / (4 xi^2)}.
 
@@ -23,10 +25,9 @@ i.e. (-i)^{-j} = conj((-i)^j), which makes coeff_{-j} = conj(coeff_j).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,54 +49,36 @@ class PhysicalConstants:
         return 2.0 * math.pi * self.hbar
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One displaced squeezed Gaussian: center, width xi, complex weight."""
-
-    center: float
-    xi: float
-    coeff: complex
-
-    def __post_init__(self):
-        if not (self.xi > 0.0) or not math.isfinite(self.xi):
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"component center must be finite, got {self.center}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpec:
-    """Immutable Gaussian superposition plus unit system.
+    """Immutable Gaussian superposition of one width xi, plus unit system.
 
-    normalized records whether the coefficients were rescaled so that the
-    exact pairwise-overlap norm is 1.
+    centers and coeffs are stored as read-only float and complex arrays, one
+    coefficient per center.  normalized records whether the coefficients were
+    rescaled so that the exact pairwise-overlap norm is 1.
     """
 
-    components: tuple[GaussianComponent, ...]
+    centers: np.ndarray
+    coeffs: np.ndarray
+    xi: float
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     normalized: bool = False
 
     def __post_init__(self):
-        if len(self.components) == 0:
+        centers = _read_only(np.array(self.centers, dtype=float))
+        coeffs = _read_only(np.array(self.coeffs, dtype=complex))
+        if centers.ndim != 1 or centers.size == 0:
             raise ValueError("state must have at least one component")
-
-    # computed on first access and kept; the arrays are read-only because
-    # every caller shares them
-    @functools.cached_property
-    def centers(self) -> np.ndarray:
-        return _read_only(np.array([c.center for c in self.components]))
-
-    @functools.cached_property
-    def coeffs(self) -> np.ndarray:
-        return _read_only(np.array([c.coeff for c in self.components], dtype=complex))
-
-    @functools.cached_property
-    def xi(self) -> float:
-        """Common width of all components; raises on mixed widths."""
-        xis = {c.xi for c in self.components}
-        if len(xis) > 1:
-            raise ValueError(f"components carry mixed xi values {sorted(xis)}")
-        return self.components[0].xi
+        if coeffs.shape != centers.shape:
+            raise ValueError(
+                f"state needs one coefficient per center, got {coeffs.shape} and {centers.shape}"
+            )
+        if not np.all(np.isfinite(centers)):
+            raise ValueError(f"component centers must be finite, got {centers}")
+        if not (self.xi > 0.0) or not math.isfinite(self.xi):
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -119,12 +102,8 @@ def norm_squared(state: StateSpec) -> float:
 
 
 def _normalize(state: StateSpec) -> StateSpec:
-    n2 = norm_squared(state)
-    scale = 1.0 / math.sqrt(n2)
-    comps = tuple(
-        GaussianComponent(c.center, c.xi, c.coeff * scale) for c in state.components
-    )
-    return StateSpec(components=comps, constants=state.constants, normalized=True)
+    scale = 1.0 / math.sqrt(norm_squared(state))
+    return replace(state, coeffs=state.coeffs * scale, normalized=True)
 
 
 def build_cat(
@@ -139,12 +118,11 @@ def build_cat(
     squared is 1 + e^{-delta_x^2/xi^2}.
     """
     constants = constants or PhysicalConstants()
+    if not (delta_x > 0.0) or not math.isfinite(delta_x):
+        raise ValueError(f"delta_x must be positive and finite, got {delta_x}")
     w = 1.0 / math.sqrt(2.0)
-    comps = (
-        GaussianComponent(+float(delta_x), float(xi), complex(w)),
-        GaussianComponent(-float(delta_x), float(xi), complex(w)),
-    )
-    state = StateSpec(components=comps, constants=constants)
+    state = StateSpec(centers=[+float(delta_x), -float(delta_x)], coeffs=[complex(w)] * 2,
+                      xi=float(xi), constants=constants)
     return _normalize(state) if normalize else state
 
 
@@ -165,8 +143,6 @@ def build_psi(
     constants = constants or PhysicalConstants()
     if not (delta_x > 0.0):
         raise ValueError(f"delta_x must be positive, got {delta_x}")
-    if not (xi > 0.0):
-        raise ValueError(f"xi must be positive, got {xi}")
     table = fourier_coeffs(params)
     half = params.n // 2
     if half % 2 == 1:
@@ -175,15 +151,11 @@ def build_psi(
             "relative to the even-n/2 reference cases",
             stacklevel=2,
         )
-    comps = []
-    for j in range(-half, half + 1):
-        k = float(table.k[abs(j)])
-        if j == 0:
-            coeff = complex(k)
-        else:
-            coeff = (-1j) ** j * k / math.sqrt(2.0)
-        comps.append(GaussianComponent(j * float(delta_x), float(xi), coeff))
-    state = StateSpec(components=tuple(comps), constants=constants)
+    js = range(-half, half + 1)
+    ks = [float(table.k[abs(j)]) for j in js]
+    coeffs = [complex(k) if j == 0 else (-1j) ** j * k / math.sqrt(2.0) for j, k in zip(js, ks)]
+    state = StateSpec(centers=[j * float(delta_x) for j in js], coeffs=coeffs,
+                      xi=float(xi), constants=constants)
     return _normalize(state) if normalize else state
 
 
@@ -205,20 +177,21 @@ def eval_psi(state: StateSpec, x):
     # nonzero; past the reach it adds exactly zero.  NaN fails the ascending
     # test, so such input takes the full loop and the NaN propagates.
     ascending = xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1]))
-    for comp in state.components:
-        amp = (math.pi * comp.xi**2) ** -0.25
+    xi = state.xi
+    amp = (math.pi * xi**2) ** -0.25
+    for center, coeff in zip(state.centers.tolist(), state.coeffs.tolist()):
         if ascending:
-            reach = _EXP_ZERO_REACH * comp.xi
-            lo, hi = np.searchsorted(xs, (comp.center - reach, comp.center + reach))
+            reach = _EXP_ZERO_REACH * xi
+            lo, hi = np.searchsorted(xs, (center - reach, center + reach))
             part = slice(lo, hi)
         else:
             part = ...
         xp, gp = xs[part], g[part]
-        arg = -((xp - comp.center) ** 2) / (2.0 * comp.xi**2)
+        arg = -((xp - center) ** 2) / (2.0 * xi**2)
         # skip the arguments whose exp is exactly zero; NaN still propagates
         gp.fill(0.0)
         np.exp(arg, out=gp, where=~(arg < _EXP_ZERO_BELOW))
-        out[part] += comp.coeff * amp * gp
+        out[part] += coeff * amp * gp
     if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
         return complex(out)
     return out
@@ -231,12 +204,12 @@ def state_to_text(state: StateSpec) -> str:
     lines = [
         f"hbar = {state.constants.hbar:.17g}",
         f"normalized = {int(state.normalized)}",
-        f"n_components = {len(state.components)}",
+        f"n_components = {state.centers.size}",
     ]
-    for i, c in enumerate(state.components):
+    for i, (center, coeff) in enumerate(zip(state.centers.tolist(), state.coeffs.tolist())):
         lines.append(
-            f"component_{i} = {c.center:.17g} {c.xi:.17g} "
-            f"{c.coeff.real:.17g} {c.coeff.imag:.17g}"
+            f"component_{i} = {center:.17g} {state.xi:.17g} "
+            f"{coeff.real:.17g} {coeff.imag:.17g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -251,16 +224,27 @@ def state_from_text(text: str) -> StateSpec:
         fields[key.strip()] = value.strip()
     try:
         hbar = float(fields["hbar"])
-        normalized = bool(int(fields["normalized"]))
+        normalized = int(fields["normalized"])
         n = int(fields["n_components"])
-        comps = []
+        rows = []
         for i in range(n):
             center, xi, re, im = (float(t) for t in fields[f"component_{i}"].split())
-            comps.append(GaussianComponent(center, xi, complex(re, im)))
+            rows.append((center, xi, complex(re, im)))
     except KeyError as exc:
         raise ValueError(f"state text missing field {exc}") from exc
+    if normalized not in (0, 1):
+        raise ValueError(f"normalized must be 0 or 1, got {normalized}")
+    known = {f"component_{i}" for i in range(n)}
+    extra = sorted(k for k in fields if k.startswith("component_") and k not in known)
+    if extra:
+        raise ValueError(f"component lines {extra} past n_components = {n}")
+    xis = sorted({xi for _, xi, _ in rows})
+    if len(xis) > 1:
+        raise ValueError(f"components carry mixed xi values {xis}")
     return StateSpec(
-        components=tuple(comps),
+        centers=[center for center, _, _ in rows],
+        coeffs=[coeff for _, _, coeff in rows],
+        xi=xis[0] if xis else math.nan,
         constants=PhysicalConstants(hbar=hbar),
-        normalized=normalized,
+        normalized=bool(normalized),
     )

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianComponent, PhysicalConstants, StateSpec
+from .states import PhysicalConstants, StateSpec
 
 IDENTITY = "identity"
 QUARTER_TURN = "quarter_turn"
@@ -172,37 +172,29 @@ def rotate_point(x, p):
     return -p, x
 
 
-def pair_kernel(
-    comp_a: GaussianComponent,
-    comp_b: GaussianComponent,
-    x,
-    p,
-    constants: PhysicalConstants,
-) -> complex:
-    """Ordered-pair kernel; comp_b is the conjugated side.
+def pair_kernel(state: StateSpec, j: int, k: int, x, p) -> complex:
+    """Ordered-pair kernel of components j and k of a state; k is the
+    conjugated side.
 
-    Returns coeff_a * conj(coeff_b) * (1/pi hbar) * e^{-(x-(a+b)/2)^2/xi^2}
-    * e^{-p^2 xi^2/hbar^2} * e^{i p (b-a)/hbar} with a, b the two centers.
-    Summed over all ordered pairs of a state this yields the real W(x,p).
-    Hermitian symmetry: kernel(a,b) = conj(kernel(b,a)).
+    Returns c_j * conj(c_k) * (1/pi hbar) * e^{-(x-(a+b)/2)^2/xi^2}
+    * e^{-p^2 xi^2/hbar^2} * e^{i p (b-a)/hbar} with a, b the centers of j
+    and k and xi the state's one width.  Summed over all ordered pairs this
+    yields the real W(x,p).  Hermitian symmetry: kernel(j,k) = conj(kernel(k,j)).
     """
-    if comp_a.xi != comp_b.xi:
-        raise ValueError(f"pair kernel needs equal widths, got {comp_a.xi} and {comp_b.xi}")
-    xi = comp_a.xi
-    hbar = constants.hbar
-    a, b = comp_a.center, comp_b.center
+    xi, hbar = state.xi, state.constants.hbar
+    a, b = state.centers[j], state.centers[k]
     mid = 0.5 * (a + b)
     envelope = np.exp(-((x - mid) ** 2) / (xi * xi)) * np.exp(-(p * p) * xi * xi / (hbar * hbar))
     phase = np.exp(1j * p * (b - a) / hbar)
-    return comp_a.coeff * np.conj(comp_b.coeff) * envelope * phase / (math.pi * hbar)
+    return state.coeffs[j] * np.conj(state.coeffs[k]) * envelope * phase / (math.pi * hbar)
 
 
 def _pair_sum_complex(state: StateSpec, x, p):
     """Sum of pair_kernel over all ordered pairs, complex; the imaginary part
     must cancel.  It shares no code with the factored core and is the
     reference that the core is checked against."""
-    comps = state.components
-    return sum(pair_kernel(a, b, x, p, state.constants) for a in comps for b in comps)
+    m = state.centers.size
+    return sum(pair_kernel(state, j, k, x, p) for j in range(m) for k in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ def _columns(source):
     """
     xs, ps = [], []
     for t in _terms(source):
-        xi, hbar = t.state.xi, t.state.constants.hbar  # xi raises on mixed widths
+        xi, hbar = t.state.xi, t.state.constants.hbar
         a, c = t.state.centers, t.state.coeffs
         j, k = np.triu_indices(a.size)
         # the (j,k) and (k,j) kernels are complex conjugates: keep j <= k and

@@ -19,7 +19,6 @@ from subzurek.analysis import (
     zurek_scale,
 )
 from subzurek.states import (
-    GaussianComponent,
     PhysicalConstants,
     StateSpec,
     build_cat,
@@ -120,7 +119,7 @@ class TestCrossingDetector:
         assert spacing == pytest.approx(CONST.h / (2 * L * 10.0), rel=0.15)
 
     def test_too_few_crossings_rejected(self):
-        st = StateSpec(components=(GaussianComponent(0.0, 1.0, 1.0 + 0j),), constants=CONST)
+        st = StateSpec(centers=[0.0], coeffs=[1.0 + 0j], xi=1.0, constants=CONST)
         with pytest.raises(ValueError, match="crossings"):
             central_cut_crossings(st, "p_cut_at_x0", 1.0, 512)
 
@@ -183,7 +182,7 @@ class TestOverspill:
         assert res.ratio > 0.1
 
     def test_single_gaussian_rejected(self):
-        st = StateSpec(components=(GaussianComponent(0.0, 1.0, 1.0 + 0j),), constants=CONST)
+        st = StateSpec(centers=[0.0], coeffs=[1.0 + 0j], xi=1.0, constants=CONST)
         with pytest.raises(ValueError, match="neighbor"):
             overspill_check(st)
 
@@ -215,7 +214,9 @@ class TestDisplacementSensitivity:
     def test_single_gaussian_analytic_decay(self):
         xi = 1.0
         st = StateSpec(
-            components=(GaussianComponent(0.0, xi, 1.0 + 0j),),
+            centers=[0.0],
+            coeffs=[1.0 + 0j],
+            xi=xi,
             constants=CONST,
             normalized=True,
         )
@@ -285,7 +286,9 @@ class TestHalfOverlapScale:
         # xi sqrt(2 ln 2)
         xi = 1.0
         st = StateSpec(
-            components=(GaussianComponent(0.0, xi, 1.0 + 0j),),
+            centers=[0.0],
+            coeffs=[1.0 + 0j],
+            xi=xi,
             constants=CONST,
             normalized=True,
         )

@@ -224,6 +224,16 @@ class TestNonFiniteGeometry:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    # a cat of zero spacing divided by its zero extent; a negative one was
+    # analyzed and validated as if it were positive
+    @pytest.mark.parametrize("command", ["analyze", "validate", "sensitivity", "wigner"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_cat_spacing_exits_2(self, command, value, tmp_path, monkeypatch, capsys):
+        code = run([command, "--preset", "cat", f"--delta-x={value}", "--out", "o"], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert "delta_x must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidate:
     def test_fig1_gates_pass(self, tmp_path, monkeypatch, capsys):

@@ -24,13 +24,15 @@ from subzurek.export import (
     log_profile,
     map_values,
 )
-from subzurek.states import GaussianComponent, PhysicalConstants, StateSpec
+from subzurek.states import PhysicalConstants, StateSpec
 from subzurek.wigner import GridWindow, PhaseSpaceGrid, eval_grid
 
 
 def small_grid():
     st = StateSpec(
-        components=(GaussianComponent(0.0, 1.0, 1.0 + 0j),),
+        centers=[0.0],
+        coeffs=[1.0 + 0j],
+        xi=1.0,
         constants=PhysicalConstants(),
         normalized=True,
     )

@@ -12,7 +12,6 @@ from subzurek.oracle import (
     wigner_quadrature_parts,
 )
 from subzurek.states import (
-    GaussianComponent,
     PhysicalConstants,
     StateSpec,
     build_cat,
@@ -25,7 +24,9 @@ from subzurek.wigner import eval_wigner
 
 def single_gaussian(xi=1.0):
     return StateSpec(
-        components=(GaussianComponent(0.0, xi, 1.0 + 0j),),
+        centers=[0.0],
+        coeffs=[1.0 + 0j],
+        xi=xi,
         constants=PhysicalConstants(),
         normalized=True,
     )
@@ -225,12 +226,7 @@ class TestNormQuadrature:
 
     def test_coincident_unit_coefficients_give_four(self):
         # psi = 2 s(x), so the integral is 4 <s|s> = 4
-        st = StateSpec(
-            components=(
-                GaussianComponent(0.0, 1.0, 1.0 + 0j),
-                GaussianComponent(0.0, 1.0, 1.0 + 0j),
-            ),
-        )
+        st = StateSpec(centers=[0.0, 0.0], coeffs=[1.0 + 0j, 1.0 + 0j], xi=1.0)
         assert abs(norm_quadrature(st) - 4.0) <= 1e-10
 
     def test_fig1_matches_closed_form(self):

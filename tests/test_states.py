@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from subzurek.cli import PRESETS
 from subzurek.oracle import QuadratureSpec, norm_quadrature
 from subzurek.states import (
-    GaussianComponent,
     PhysicalConstants,
     StateSpec,
     build_cat,
@@ -20,7 +20,9 @@ from subzurek.superosc import SuperoscParams, fourier_coeffs
 
 def single_gaussian(xi=1.0, center=0.0, coeff=1.0):
     return StateSpec(
-        components=(GaussianComponent(center, xi, complex(coeff)),),
+        centers=[center],
+        coeffs=[complex(coeff)],
+        xi=xi,
         constants=PhysicalConstants(),
         normalized=abs(coeff) == 1.0,
     )
@@ -39,15 +41,14 @@ class TestConstants:
 class TestBuildCat:
     def test_symmetric_two_components(self):
         cat = build_cat(3.0, 1.0)
-        assert len(cat.components) == 2
-        centers = sorted(c.center for c in cat.components)
-        assert centers == [-3.0, 3.0]
-        c0, c1 = (c.coeff for c in cat.components)
+        assert cat.centers.size == 2
+        assert sorted(cat.centers.tolist()) == [-3.0, 3.0]
+        c0, c1 = cat.coeffs.tolist()
         assert c0 == c1
         assert c0.imag == 0.0 and c0.real > 0.0
 
     def test_coincident_components_reduce_to_single_gaussian(self):
-        cat = build_cat(0.0, 1.0)
+        cat = StateSpec(centers=[0.0, 0.0], coeffs=[0.5, 0.5], xi=1.0)
         xs = np.linspace(-4, 4, 41)
         ref = single_gaussian()
         np.testing.assert_allclose(eval_psi(cat, xs), eval_psi(ref, xs), atol=1e-12)
@@ -68,11 +69,16 @@ class TestBuildCat:
         with pytest.raises(ValueError):
             build_cat(3.0, -1.0)
 
+    @pytest.mark.parametrize("delta_x", [0.0, -3.0, math.inf, math.nan])
+    def test_rejects_bad_delta_x(self, delta_x):
+        with pytest.raises(ValueError, match="delta_x"):
+            build_cat(delta_x, 1.0)
+
 
 class TestBuildPsi:
     def test_fig1_has_nine_components(self):
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
-        assert len(st.components) == 9
+        assert st.centers.size == 9
         assert np.ptp(st.centers) == 8 * 3.0
 
     @pytest.mark.parametrize("n,alpha,dx,xi", [(8, 10.0, 3.0, 0.25), (4, 6.0, 6.0, 1.0)])
@@ -94,7 +100,7 @@ class TestBuildPsi:
         np.testing.assert_array_equal(table.k, [0.0, 1.0])
         with pytest.warns(UserWarning):  # n/2 = 1 is odd
             st = build_psi(SuperoscParams(2, 1.0), 2.0, 0.5)
-        by_center = {c.center: c.coeff for c in st.components}
+        by_center = dict(zip(st.centers.tolist(), st.coeffs.tolist()))
         assert by_center[0.0] == 0.0
         assert abs(by_center[2.0]) > 0.0
         assert abs(by_center[-2.0]) == pytest.approx(abs(by_center[2.0]), abs=1e-15)
@@ -104,13 +110,13 @@ class TestBuildPsi:
         params = SuperoscParams(4, 6.0)
         table = fourier_coeffs(params)
         st = build_psi(params, 6.0, 1.0, normalize=False)
-        total = sum(abs(c.coeff) ** 2 for c in st.components)
+        total = sum(abs(c) ** 2 for c in st.coeffs.tolist())
         expected = table.k[0] ** 2 + sum(table.k[j] ** 2 for j in (1, 2))
         assert abs(total - expected) < 1e-9 * expected
 
     def test_hermitian_coefficient_symmetry(self):
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
-        by_center = {c.center: c.coeff for c in st.components}
+        by_center = dict(zip(st.centers.tolist(), st.coeffs.tolist()))
         for j in range(1, 5):
             plus = by_center[3.0 * j]
             minus = by_center[-3.0 * j]
@@ -140,7 +146,7 @@ class TestEvalPsi:
 
     def test_neighbor_overspill_negligible_at_component_center(self):
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
-        by_center = {c.center: c.coeff for c in st.components}
+        by_center = dict(zip(st.centers.tolist(), st.coeffs.tolist()))
         val = eval_psi(st, 3.0)
         expected = by_center[3.0] * (math.pi * 0.25**2) ** -0.25
         assert abs(val - expected) <= 1e-10 * abs(expected)
@@ -149,9 +155,9 @@ class TestEvalPsi:
         st = build_psi(SuperoscParams(4, 6.0), 6.0, 1.0)
         xs = np.linspace(-14, 14, 57)
         manual = np.zeros(xs.shape, dtype=complex)
-        for comp in st.components:
-            manual += comp.coeff * (math.pi * comp.xi**2) ** -0.25 * np.exp(
-                -((xs - comp.center) ** 2) / (2 * comp.xi**2)
+        for center, coeff in zip(st.centers, st.coeffs):
+            manual += coeff * (math.pi * st.xi**2) ** -0.25 * np.exp(
+                -((xs - center) ** 2) / (2 * st.xi**2)
             )
         np.testing.assert_allclose(eval_psi(st, xs), manual, atol=1e-14)
 
@@ -165,9 +171,9 @@ def _psi_every_exp(state, x):
     """Reference psi: the per-component loop taking exp of every argument."""
     xs = np.asarray(x, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
-    for comp in state.components:
-        amp = (math.pi * comp.xi**2) ** -0.25
-        out += comp.coeff * amp * np.exp(-((xs - comp.center) ** 2) / (2.0 * comp.xi**2))
+    for center, coeff in zip(state.centers.tolist(), state.coeffs.tolist()):
+        amp = (math.pi * state.xi**2) ** -0.25
+        out += coeff * amp * np.exp(-((xs - center) ** 2) / (2.0 * state.xi**2))
     if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
         return complex(out)
     return out
@@ -266,11 +272,8 @@ class TestNormSquared:
         assert norm_squared(single_gaussian()) == pytest.approx(1.0, abs=1e-15)
 
     def test_far_separated_cat(self):
-        comps = (
-            GaussianComponent(10.0, 1.0, complex(1 / math.sqrt(2))),
-            GaussianComponent(-10.0, 1.0, complex(1 / math.sqrt(2))),
-        )
-        st = StateSpec(components=comps)
+        w = complex(1 / math.sqrt(2))
+        st = StateSpec(centers=[10.0, -10.0], coeffs=[w, w], xi=1.0)
         assert norm_squared(st) == pytest.approx(1.0 + math.exp(-100.0), abs=1e-15)
 
     def test_fig1_matches_quadrature(self):
@@ -279,50 +282,95 @@ class TestNormSquared:
         quad = norm_quadrature(st)
         assert abs(closed - quad) <= 1e-8 * quad
 
-    def test_mixed_xi_rejected(self):
-        comps = (
-            GaussianComponent(0.0, 1.0, 1.0 + 0j),
-            GaussianComponent(1.0, 2.0, 1.0 + 0j),
-        )
-        with pytest.raises(ValueError, match="mixed"):
-            norm_squared(StateSpec(components=comps))
-
     def test_empty_state_rejected(self):
-        with pytest.raises(ValueError):
-            StateSpec(components=())
+        with pytest.raises(ValueError, match="at least one"):
+            StateSpec(centers=[], coeffs=[], xi=1.0)
+
+
+class TestStateSpec:
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one coefficient per center"):
+            StateSpec(centers=[0.0, 1.0], coeffs=[1.0 + 0j], xi=1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_center_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateSpec(centers=[0.0, bad], coeffs=[1.0, 1.0], xi=1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_xi_rejected(self, bad):
+        with pytest.raises(ValueError, match="xi"):
+            StateSpec(centers=[0.0], coeffs=[1.0], xi=bad)
+
+    def test_arrays_copied_and_typed(self):
+        centers, coeffs = np.array([1.0, 2.0]), np.array([1.0, 0.5])
+        st = StateSpec(centers=centers, coeffs=coeffs, xi=1.0)
+        centers[0] = coeffs[0] = 9.0
+        assert st.centers.tolist() == [1.0, 2.0]
+        assert st.coeffs.dtype == complex and st.coeffs.tolist() == [1.0, 0.5]
 
 
 class TestDerivedArrays:
     def test_computed_once_and_read_only(self):
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
         assert st.centers is st.centers and st.coeffs is st.coeffs
-        assert st.centers.tolist() == [c.center for c in st.components]
+        assert st.centers.tolist() == [3.0 * j for j in range(-4, 5)]
         with pytest.raises(ValueError, match="read-only"):
             st.centers[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             st.coeffs[0] = 0.0
 
-    def test_mixed_xi_raises_on_every_access(self):
-        st = StateSpec(components=(
-            GaussianComponent(0.0, 1.0, 1.0 + 0j),
-            GaussianComponent(1.0, 2.0, 1.0 + 0j),
-        ))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="mixed"):
-                st.xi
+
+def _preset_states():
+    out = {}
+    for name, pre in PRESETS.items():
+        constants = PhysicalConstants(hbar=pre["hbar"])
+        if pre["kind"] == "cat":
+            out[name] = build_cat(pre["delta_x"], pre["xi"], constants)
+        else:
+            params = SuperoscParams(pre["n"], pre["alpha"])
+            out[name] = build_psi(params, pre["delta_x"], pre["xi"], constants)
+    out["cat_hbar07"] = build_cat(1.7, 0.3, PhysicalConstants(hbar=0.7))
+    return out
+
+
+def _text(n, *components, normalized=1):
+    lines = ["hbar = 1", f"normalized = {normalized}", f"n_components = {n}"]
+    lines += [f"component_{i} = {c}" for i, c in enumerate(components)]
+    return "\n".join(lines) + "\n"
 
 
 class TestSerialization:
     def test_round_trip_exact(self):
-        st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
+        for st in _preset_states().values():
+            back = state_from_text(state_to_text(st))
+            assert back.normalized == st.normalized
+            assert back.constants.hbar == st.constants.hbar
+            assert back.xi == st.xi
+            # tobytes tells -0.0 from 0.0, which == does not
+            assert back.centers.tobytes() == st.centers.tobytes()
+            assert back.coeffs.tobytes() == st.coeffs.tobytes()
+
+    def test_round_trip_keeps_signed_zeros(self):
+        st = StateSpec(centers=[-0.0, 1.0], coeffs=[complex(-0.0, -0.0), complex(1.0, -0.0)], xi=1.0)
         back = state_from_text(state_to_text(st))
-        assert back.normalized == st.normalized
-        assert back.constants.hbar == st.constants.hbar
-        for a, b in zip(back.components, st.components):
-            assert a.center == b.center
-            assert a.xi == b.xi
-            assert a.coeff == b.coeff
+        assert back.centers.tobytes() == st.centers.tobytes()
+        assert back.coeffs.tobytes() == st.coeffs.tobytes()
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             state_from_text("hbar = 1.0\n")
+
+    def test_component_past_count_rejected(self):
+        text = _text(1, "0 1 1 0", "3 1 1 0")
+        with pytest.raises(ValueError, match="past n_components"):
+            state_from_text(text)
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
+    def test_normalized_other_than_0_or_1_rejected(self, flag):
+        with pytest.raises(ValueError, match="normalized must be 0 or 1"):
+            state_from_text(_text(1, "0 1 1 0", normalized=flag))
+
+    def test_mixed_xi_rejected(self):
+        with pytest.raises(ValueError, match="mixed xi"):
+            state_from_text(_text(2, "0 1 1 0", "3 0.5 1 0"))

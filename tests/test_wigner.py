@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from subzurek.states import (
-    GaussianComponent,
     PhysicalConstants,
     StateSpec,
     build_cat,
@@ -52,7 +51,9 @@ CONST = PhysicalConstants()
 
 def single_gaussian(xi=1.0):
     return StateSpec(
-        components=(GaussianComponent(0.0, xi, 1.0 + 0j),),
+        centers=[0.0],
+        coeffs=[1.0 + 0j],
+        xi=xi,
         constants=CONST,
         normalized=True,
     )
@@ -72,24 +73,17 @@ def gaussian_spot(x, p, xi=1.0, hbar=1.0):
 
 class TestPairKernel:
     def test_single_gaussian_peak(self):
-        comp = GaussianComponent(0.0, 1.0, 1.0 + 0j)
-        assert pair_kernel(comp, comp, 0.0, 0.0, CONST) == pytest.approx(1.0 / math.pi)
+        st = single_gaussian()
+        assert pair_kernel(st, 0, 0, 0.0, 0.0) == pytest.approx(1.0 / math.pi)
 
     def test_hermitian_pair_symmetry(self):
-        a = GaussianComponent(2.0, 0.5, 0.3 + 0.4j)
-        b = GaussianComponent(-1.0, 0.5, -0.2 + 0.9j)
+        st = StateSpec(centers=[2.0, -1.0], coeffs=[0.3 + 0.4j, -0.2 + 0.9j], xi=0.5, constants=CONST)
         rng = np.random.default_rng(5)
         for _ in range(20):
             x, p = rng.uniform(-3, 3, 2)
-            kab = pair_kernel(a, b, x, p, CONST)
-            kba = pair_kernel(b, a, x, p, CONST)
+            kab = pair_kernel(st, 0, 1, x, p)
+            kba = pair_kernel(st, 1, 0, x, p)
             assert kab == pytest.approx(np.conj(kba), abs=1e-15)
-
-    def test_mismatched_xi_rejected(self):
-        a = GaussianComponent(0.0, 1.0, 1.0 + 0j)
-        b = GaussianComponent(0.0, 2.0, 1.0 + 0j)
-        with pytest.raises(ValueError, match="widths"):
-            pair_kernel(a, b, 0.0, 0.0, CONST)
 
 
 class TestCatFormula:
@@ -149,14 +143,6 @@ class TestEvalWigner:
             xs = rng.uniform(-half - 2, half + 2, 400)
             ps = rng.uniform(-3.5 / st.xi, 3.5 / st.xi, 400)
             assert np.max(np.abs(eval_wigner(st, xs, ps))) <= bound
-
-    def test_mixed_xi_rejected(self):
-        comps = (
-            GaussianComponent(0.0, 1.0, 1.0 + 0j),
-            GaussianComponent(1.0, 0.5, 1.0 + 0j),
-        )
-        with pytest.raises(ValueError, match="mixed"):
-            eval_wigner(StateSpec(components=comps), 0.0, 0.0)
 
 
 class TestMixture:
@@ -337,7 +323,9 @@ class TestOverlap:
         a = single_gaussian(xi)
         for delta in (0.5, 1.0, 2.0):
             b = StateSpec(
-                components=(GaussianComponent(delta, xi, 1.0 + 0j),),
+                centers=[delta],
+                coeffs=[1.0 + 0j],
+                xi=xi,
                 constants=CONST,
                 normalized=True,
             )
@@ -355,7 +343,7 @@ class TestOverlap:
         # balanced mixture purity = 1/2 + |<psi|rot psi>|^2/2; the xi=sqrt(hbar)
         # origin component is rotation-invariant, so the branch overlap is
         # |c_0|^2 and the mixture keeps a small coherent excess over 1/2
-        c0 = abs({c.center: c.coeff for c in st.components}[0.0]) ** 2
+        c0 = abs(st.coeffs[st.centers == 0.0][0]) ** 2
         assert mixed == pytest.approx(0.5 + c0**2 / 2.0, abs=1e-4)
 
     @pytest.mark.parametrize("name", ["fig2a", "compass"])
@@ -460,7 +448,9 @@ class TestSuggestedWindow:
         constants = PhysicalConstants(hbar=0.7)
         comb = build_psi(SuperoscParams(4, 3.0), 1.3, 0.3, constants)
         pair = StateSpec(
-            components=(GaussianComponent(1.1, 0.3, 0.6 + 0j), GaussianComponent(2.9, 0.3, 0.8j)),
+            centers=[1.1, 2.9],
+            coeffs=[0.6 + 0j, 0.8j],
+            xi=0.3,
             constants=constants,
         )
         source = {
