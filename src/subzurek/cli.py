@@ -366,7 +366,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ]).reshape(-1, 2)
     xs, ps = points.T
     closed = wigner.eval_wigner(state, xs, ps)
-    quad = np.array([oracle.wigner_quadrature(state, x, p) for x, p in points.tolist()])
+    quad = oracle.wigner_quadrature(state, xs, ps)
     full = wigner._pair_sum_complex(state, xs, ps)
     worst = float(np.max(np.abs(closed - quad), initial=0.0))
     worst_im = float(np.max(np.abs(full.imag) / np.maximum(1.0, np.abs(full.real)), initial=0.0))

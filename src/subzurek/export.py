@@ -27,6 +27,7 @@ import tempfile
 
 import numpy as np
 
+from .cpus import cpu_count
 from .wigner import PhaseSpaceGrid
 
 LOG_FLOOR = 1e-300
@@ -231,18 +232,6 @@ _BLOCK_VALUES = 1 << 14
 _MAX_TEXT = 25
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on.
-
-    On one CPU a helper thread buys no time and its malloc arena stays
-    resident (BENCH_10.json "one_cpu").  A CPU quota is not seen here, only
-    the affinity mask.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
     """head, then each row of a 2-D array as a line of %.17g values, in one
     presized buffer; odd blocks go to a helper thread when there are two
@@ -262,7 +251,7 @@ def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
         return _format_values(rows[start : start + step].ravel(), record)
 
     pool = None
-    if len(starts) >= 2 and _cpu_count() >= 2:
+    if len(starts) >= 2 and cpu_count() >= 2:
         from concurrent.futures import ThreadPoolExecutor
 
         pool, helper_rec = ThreadPoolExecutor(1), rec.copy()

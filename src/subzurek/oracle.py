@@ -14,7 +14,15 @@ cos and sin, and mirrored as its conjugate; its bits are those of the complex
 exp over the whole lattice.  The integrand is still formed and summed over
 the whole lattice: its value at -y is the conjugate of its value at +y only
 up to roundoff, so the imaginary part cancels pairwise and only checks
-roundoff.
+roundoff.  The kernel works in place and drops each array after its last
+use, so a point holds about 36 bytes per lattice sample at its peak.
+
+wigner_quadrature takes arrays of points.  It fixes every point's rule
+first, so a point outside the oracle's regime raises before any quadrature
+runs.  When the process may use two CPUs, the caller and one helper thread
+then take points in turn from a shared counter; an error is raised in the
+caller, lowest point index first.  Each point's bits are those of a serial
+loop, with or without the helper.
 
 For shared-width Gaussian superpositions the integrand's y-support is set by
 the component centers and width alone: each (j,k) product term is a width-xi
@@ -26,10 +34,12 @@ rate is 2|p|/hbar from the transform phase plus O(1/xi) from the envelopes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cpus import cpu_count
 from .states import StateSpec, eval_psi
 
 # Simpson panels per oscillation period demanded by the resolution criterion;
@@ -91,19 +101,16 @@ def _check_window(state: StateSpec, quad: QuadratureSpec) -> None:
 
 
 def _simpson(values: np.ndarray, h: float):
-    weights = np.ones(values.shape[-1])
+    # weights in the values' dtype: a complex @ makes no cast copy of them
+    weights = np.ones(values.shape[-1], dtype=values.dtype)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return (values @ weights) * (h / 3.0)
 
 
-def wigner_quadrature_parts(
-    state: StateSpec, x: float, p: float, quad: QuadratureSpec | None = None
-) -> tuple[float, float]:
-    """(real, imaginary) Simpson estimates of the transform integral.
-
-    The imaginary part is a pure diagnostic; it cancels analytically.
-    """
+def _rule(state: StateSpec, p: float, quad: QuadratureSpec | None) -> QuadratureSpec:
+    """quad, or the default rule at p, checked against the fringe and window
+    criteria."""
     if quad is None:
         quad = default_quadrature(state, p)
     else:
@@ -114,32 +121,99 @@ def wigner_quadrature_parts(
                 f"{minimum} for p={p}"
             )
     _check_window(state, quad)
+    return quad
+
+
+def wigner_quadrature_parts(
+    state: StateSpec, x: float, p: float, quad: QuadratureSpec | None = None
+) -> tuple[float, float]:
+    """(real, imaginary) Simpson estimates of the transform integral.
+
+    The imaginary part is a pure diagnostic; it cancels analytically.
+    """
+    quad = _rule(state, p, quad)
     hbar = state.constants.hbar
     half = quad.n_points // 2
     h = 2.0 * quad.y_halfwidth / quad.n_points
     # integer multiples of h make the lattice exactly symmetric, y[n - k] ==
     # -y[k], so psi(x - y) is psi(x + y) reversed and psi is evaluated once
-    y = h * np.arange(-half, half + 1)
-    f = eval_psi(state, x + y)
+    y = np.arange(-half, half + 1, dtype=float)
+    y *= h
+    # numpy's complex division by hbar multiplies by 1/hbar, so theta takes
+    # the same factor and every bit of the phase below is the complex exp's
+    theta = 2.0 * p * y[half:]
+    theta *= 1.0 / hbar
+    y += x
+    f = eval_psi(state, y)
+    del y
+    integrand = np.conj(f)
+    integrand *= f[::-1]
+    del f
     # e^{2ipy/hbar} from cos and sin on y >= 0, the y < 0 half its conjugate
-    # read backwards.  numpy's complex division by hbar multiplies by 1/hbar,
-    # so theta takes the same factor and every bit is the complex exp's
-    theta = 2.0 * p * y[half:] * (1.0 / hbar)
-    phase = np.empty(y.size, dtype=complex)
+    # read backwards
+    phase = np.empty(integrand.size, dtype=complex)
     np.cos(theta, out=phase.real[half:])
     np.sin(theta, out=phase.imag[half:])
+    del theta
     phase.real[:half] = phase.real[:half:-1]
     np.negative(phase.imag[:half:-1], out=phase.imag[:half])
-    integrand = np.conj(f) * f[::-1] * phase
+    integrand *= phase
+    del phase
     total = _simpson(integrand, h) / (math.pi * hbar)
     return float(np.real(total)), float(np.imag(total))
 
 
-def wigner_quadrature(
-    state: StateSpec, x: float, p: float, quad: QuadratureSpec | None = None
-) -> float:
-    """Real part of the quadrature Wigner transform at one phase-space point."""
-    return wigner_quadrature_parts(state, x, p, quad)[0]
+def _real_parts(state: StateSpec, xs: list, ps: list, quads: list) -> list[float]:
+    """Real Simpson estimates at each point.  With two points and two CPUs
+    the caller and one helper thread take points from a shared counter.
+    The helper runs wigner_quadrature_parts alone, so a profiler that wraps
+    the public functions sees nothing on its thread."""
+    values = [0.0] * len(quads)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    pending = iter(range(len(quads)))
+
+    def work() -> None:
+        # stop taking points after a failure; every lower index is already
+        # taken, so the lowest failing index is the serial loop's
+        while not errors:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                values[i] = wigner_quadrature_parts(state, xs[i], ps[i], quads[i])[0]
+            except BaseException as exc:
+                errors[i] = exc
+
+    helper = None
+    if len(quads) >= 2 and cpu_count() >= 2:
+        helper = threading.Thread(target=work, name="subzurek-quadrature")
+        helper.start()
+    try:
+        work()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return values
+
+
+def wigner_quadrature(state: StateSpec, x, p, quad: QuadratureSpec | None = None):
+    """Real part of the quadrature Wigner transform at phase-space points.
+
+    Scalars in, float out; arrays broadcast, as in eval_wigner.  Every
+    point's rule is fixed first, in index order, so a point outside the
+    oracle's regime raises before any quadrature runs.
+    """
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    xs, ps = x.ravel().tolist(), p.ravel().tolist()
+    quads = [_rule(state, pk, quad) for pk in ps]
+    values = _real_parts(state, xs, ps, quads)
+    if x.ndim == 0:
+        return values[0]
+    return np.array(values).reshape(x.shape)
 
 
 def norm_quadrature(state: StateSpec, quad: QuadratureSpec | None = None) -> float:

@@ -171,27 +171,42 @@ def eval_psi(state: StateSpec, x):
     """psi(x); x may be a scalar or ndarray, complex values returned."""
     xs = np.asarray(x, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
-    g = np.empty(xs.shape)
+    xi = state.xi
+    amp = (math.pi * xi**2) ** -0.25
+    weights = [coeff * amp for coeff in state.coeffs.tolist()]
     # on an ascending 1-D input (the quadrature lattices) each component is
     # evaluated only on the slice inside its reach, where its exp can be
     # nonzero; past the reach it adds exactly zero.  NaN fails the ascending
     # test, so such input takes the full loop and the NaN propagates.
-    ascending = xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1]))
-    xi = state.xi
-    amp = (math.pi * xi**2) ** -0.25
-    for center, coeff in zip(state.centers.tolist(), state.coeffs.tolist()):
-        if ascending:
-            reach = _EXP_ZERO_REACH * xi
-            lo, hi = np.searchsorted(xs, (center - reach, center + reach))
-            part = slice(lo, hi)
-        else:
-            part = ...
-        xp, gp = xs[part], g[part]
-        arg = -((xp - center) ** 2) / (2.0 * xi**2)
-        # skip the arguments whose exp is exactly zero; NaN still propagates
-        gp.fill(0.0)
-        np.exp(arg, out=gp, where=~(arg < _EXP_ZERO_BELOW))
-        out[part] += coeff * amp * gp
+    if xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1])):
+        reach = _EXP_ZERO_REACH * xi
+        spans = np.searchsorted(xs, np.add.outer(state.centers, (-reach, reach))).tolist()
+        width = max(hi - lo for lo, hi in spans)
+        g, term = np.empty(width), np.empty(width)
+        re, im = out.real, out.imag
+        # inside a reach every exponent is above -746 (1 + 1e-12)^2, where
+        # exp already gives the masked loop's 0 or subnormal, so no mask
+        # is needed.  c * g has real part c.real * g and imaginary part
+        # c.imag * g, bit for bit.  A part of c that is +-0 would add +-0,
+        # which changes no sum (the sums start at +0 and never reach -0), so
+        # it is skipped: a comb's coefficients are real or imaginary
+        for center, c, (lo, hi) in zip(state.centers.tolist(), weights, spans):
+            gp, tp = g[: hi - lo], term[: hi - lo]
+            np.subtract(xs[lo:hi], center, out=gp)
+            np.square(gp, out=gp)
+            np.divide(gp, -(2.0 * xi**2), out=gp)
+            np.exp(gp, out=gp)
+            for acc, part in ((re, c.real), (im, c.imag)):
+                if part:
+                    np.add(acc[lo:hi], np.multiply(gp, part, out=tp), out=acc[lo:hi])
+    else:
+        g = np.empty(xs.shape)
+        for center, c in zip(state.centers.tolist(), weights):
+            arg = -((xs - center) ** 2) / (2.0 * xi**2)
+            # skip the arguments whose exp is exactly zero; NaN still propagates
+            g.fill(0.0)
+            np.exp(arg, out=g, where=~(arg < _EXP_ZERO_BELOW))
+            out += c * g
     if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
         return complex(out)
     return out
@@ -221,7 +236,10 @@ def state_from_text(text: str) -> StateSpec:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"state text repeats key {key!r}")
+        fields[key] = value.strip()
     try:
         hbar = float(fields["hbar"])
         normalized = int(fields["normalized"])
@@ -234,10 +252,13 @@ def state_from_text(text: str) -> StateSpec:
         raise ValueError(f"state text missing field {exc}") from exc
     if normalized not in (0, 1):
         raise ValueError(f"normalized must be 0 or 1, got {normalized}")
-    known = {f"component_{i}" for i in range(n)}
-    extra = sorted(k for k in fields if k.startswith("component_") and k not in known)
+    known = {"hbar", "normalized", "n_components"} | {f"component_{i}" for i in range(n)}
+    unknown = sorted(set(fields) - known)
+    extra = [k for k in unknown if k.startswith("component_") and k[len("component_"):].isdigit()]
     if extra:
         raise ValueError(f"component lines {extra} past n_components = {n}")
+    if unknown:
+        raise ValueError(f"state text has unknown keys {unknown}")
     xis = sorted({xi for _, xi, _ in rows})
     if len(xis) > 1:
         raise ValueError(f"components carry mixed xi values {xis}")

@@ -278,6 +278,19 @@ class TestValidate:
         assert "FAIL  marginal vs |psi|^2" in out and "all gates pass" not in out
 
 
+    def test_out_of_regime_point_exits_2_before_any_quadrature(self, tmp_path, monkeypatch, capsys):
+        # at xi = 0.003 the oracle's panel cap excludes some drawn points; the
+        # first of them by index is named, and no psi is evaluated first
+        calls = []
+        monkeypatch.setattr(oracle, "eval_psi", lambda *a: calls.append(a))
+        code = run(["validate", "--n", "12", "--alpha", "10", "--xi", "0.003", "--delta-x", "3"],
+                   tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert "demands 4701408 panels (p=933.8330396120466, window=18.024)" in err
+        assert calls == []
+
+
 def _per_point_gate_lines(preset, n_points):
     """The first two validate gates from the point-at-a-time loop."""
     args = build_parser().parse_args(["validate", "--preset", preset])

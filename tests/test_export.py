@@ -198,7 +198,7 @@ LONGEST = -1.2345678901234567e-308
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
 def cpus(request, monkeypatch):
     """Run the export as on a machine that lets the process use 1 or 2 CPUs."""
-    monkeypatch.setattr(export, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(export, "cpu_count", lambda: request.param)
     return request.param
 
 
@@ -250,7 +250,7 @@ class TestTwoThreads:
         assert threading.active_count() == before
 
     def test_order_holds_under_frequent_thread_switches(self, monkeypatch):
-        monkeypatch.setattr(export, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(export, "cpu_count", lambda: 2)
         rows = np.random.default_rng(9).standard_normal((9 * _BLOCK_VALUES // 32 + 3, 32))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -261,7 +261,7 @@ class TestTwoThreads:
         assert text == per_value_join(rows)
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(export, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(export, "cpu_count", lambda: 2)
         caller, fmt = threading.get_ident(), export._format_values
 
         def failing(v, rec):

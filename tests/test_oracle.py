@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import subzurek.oracle as oracle_mod
 from subzurek.oracle import (
     QuadratureSpec,
     _simpson,
@@ -218,6 +223,136 @@ class TestHalfLatticePhase:
             got = np.array(wigner_quadrature_parts(st, x, p))
             ref = np.array(_complex_exp_parts(st, x, p))
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (x, p, got - ref)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """Run the oracle as on a machine that lets the process use 1 or 2 CPUs."""
+    monkeypatch.setattr(oracle_mod, "cpu_count", lambda: request.param)
+    return request.param
+
+
+def started_threads(monkeypatch) -> list:
+    """Record every thread the oracle starts."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(oracle_mod.threading, "Thread", Recording)
+    return started
+
+
+def _fig2b_points(count, seed=20260808):
+    st = build_psi(SuperoscParams(12, 10.0), 3.0, 0.25)
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-20.0, 20.0, count)
+    ps = rng.uniform(-14.0, 14.0, count)
+    return st, xs, ps
+
+
+class TestBatchedPoints:
+    """wigner_quadrature over arrays: the per-point loop's bits and errors."""
+
+    def test_array_bits_equal_per_point_loop(self, cpus, monkeypatch):
+        st, xs, ps = _fig2b_points(9)
+        started = started_threads(monkeypatch)
+        got = wigner_quadrature(st, xs, ps)
+        loop = np.array([wigner_quadrature_parts(st, x, p)[0] for x, p in zip(xs.tolist(), ps.tolist())])
+        assert got.shape == (9,)
+        assert got.tobytes() == loop.tobytes()
+        assert len(started) == cpus - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_one_point_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "cpu_count", lambda: 2)
+        started = started_threads(monkeypatch)
+        st, xs, ps = _fig2b_points(1)
+        assert wigner_quadrature(st, xs, ps).tobytes() == np.array(
+            [wigner_quadrature_parts(st, xs[0], ps[0])[0]]).tobytes()
+        assert started == []
+
+    def test_scalars_give_a_float_and_arrays_broadcast(self, cpus):
+        st, xs, ps = _fig2b_points(3)
+        one = wigner_quadrature(st, xs[0], ps[0])
+        assert type(one) is float
+        row = wigner_quadrature(st, xs[0], ps)
+        grid = wigner_quadrature(st, xs[:, None], ps[None, :])
+        assert grid.shape == (3, 3)
+        assert row.tobytes() == grid[0].tobytes()
+        assert grid[0, 0] == one
+
+    def test_out_of_regime_point_raises_before_any_quadrature(self, cpus, monkeypatch):
+        # p = 1000 needs more than the oracle's panel cap; the first such
+        # point by index names the error, as in the per-point loop
+        calls = []
+        monkeypatch.setattr(oracle_mod, "eval_psi", lambda *a: calls.append(a))
+        st = build_psi(SuperoscParams(12, 10.0), 3.0, 0.003)
+        with pytest.raises(ValueError, match=r"p=-1000\.0,"):
+            wigner_quadrature(st, [0.0, 0.5, 1.0, 1.5], [1.0, -1000.0, 2.0, 1200.0])
+        assert calls == []
+
+    def test_lowest_failing_index_is_raised(self, cpus, monkeypatch):
+        # the lattice midpoint is x, so the wrapper knows which point it is
+        # in; point 2 fails late, so with a helper point 3 fails first
+        st, xs, ps = _fig2b_points(8)
+        bad = {float(xs[2]): (2, 0.05), float(xs[3]): (3, 0.0)}
+
+        def failing(state, y):
+            index, delay = bad.get(float(y[y.size // 2]), (None, 0.0))
+            if index is not None:
+                time.sleep(delay)
+                raise ArithmeticError(f"point {index}")
+            return eval_psi(state, y)
+
+        monkeypatch.setattr(oracle_mod, "eval_psi", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="point 2"):
+            wigner_quadrature(st, xs, ps)
+        assert threading.active_count() == before
+
+
+    def test_each_point_once_under_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "cpu_count", lambda: 2)
+        st = build_cat(3.0, 1.0)
+        rng = np.random.default_rng(17)
+        xs, ps = rng.uniform(-4.0, 4.0, 40), rng.uniform(-3.0, 3.0, 40)
+        seen = []
+
+        def recording(state, y):
+            seen.append(float(y[y.size // 2]))
+            return eval_psi(state, y)
+
+        monkeypatch.setattr(oracle_mod, "eval_psi", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = wigner_quadrature(st, xs, ps)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == sorted(xs.tolist())
+        monkeypatch.setattr(oracle_mod, "eval_psi", eval_psi)
+        loop = [wigner_quadrature_parts(st, x, p)[0] for x, p in zip(xs.tolist(), ps.tolist())]
+        assert got.tobytes() == np.array(loop).tobytes()
+
+
+class TestQuadratureMemory:
+    def test_fig2b_largest_p_peak_below_3mb(self):
+        # validate draws p from +-3.5 hbar/xi; at the edge the rule takes its
+        # most samples, 71713 here
+        st = build_psi(SuperoscParams(12, 10.0), 3.0, 0.25)
+        p = 3.5 / st.xi
+        assert default_quadrature(st, p).n_points == 71712
+        wigner_quadrature_parts(st, 0.3, p)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            wigner_quadrature_parts(st, 0.3, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
 
 class TestNormQuadrature:

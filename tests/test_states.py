@@ -199,6 +199,12 @@ class TestEvalPsiBitwise:
         "comb_n12": lambda: build_psi(
             SuperoscParams(12, 16.0), 3.0, 0.25, PhysicalConstants(hbar=0.7)
         ),
+        # coefficients with both parts nonzero, both signs, and one zero
+        "generic": lambda: StateSpec(
+            centers=[-2.9, 0.0, 0.4, 3.1, 5.0],
+            coeffs=[0.3 + 0.7j, -1.1 + 0.2j, 0.5 - 0.5j, -2.0 - 0.0j, 0j],
+            xi=0.25,
+        ),
     }
 
     @pytest.fixture(params=sorted(STATES))
@@ -364,6 +370,16 @@ class TestSerialization:
     def test_component_past_count_rejected(self):
         text = _text(1, "0 1 1 0", "3 1 1 0")
         with pytest.raises(ValueError, match="past n_components"):
+            state_from_text(text)
+
+    def test_repeated_key_rejected(self):
+        text = _text(1, "0 1 1 0") + "hbar = 2\n"
+        with pytest.raises(ValueError, match="repeats key 'hbar'"):
+            state_from_text(text)
+
+    def test_unknown_key_rejected(self):
+        text = _text(1, "0 1 1 0") + "width = 5\n"
+        with pytest.raises(ValueError, match=r"unknown keys \['width'\]"):
             state_from_text(text)
 
     @pytest.mark.parametrize("flag", ["7", "-1", "2"])
