@@ -302,11 +302,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     wrote = []
     if args.format in ("csv", "both"):
         path = prefix + ".csv"
-        export.atomic_write_bytes(path, export.grid_to_csv(grid, header))
+        export.atomic_write_chunks(path, export.grid_csv_chunks(grid, header))
         wrote.append(path)
     if args.format in ("pgm", "both"):
         path = prefix + ".pgm"
-        export.atomic_write_bytes(path, export.grid_to_pgm(grid, args.map, args.bits, header))
+        export.atomic_write_chunks(path, export.grid_pgm_chunks(grid, args.map, args.bits, header))
         wrote.append(path)
     print(f"wrote {' '.join(wrote)} ({window.nx}x{window.np} samples)")
     return EXIT_OK

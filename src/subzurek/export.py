@@ -2,20 +2,32 @@
 
 All floats are written with %.17g (round-trip exact), all newlines are '\n',
 and every writer goes through a temp-file-then-rename so no partial output
-survives an error.  Identical inputs produce byte-identical files.
+survives an error or an interrupt.  Identical inputs produce byte-identical
+files.
 
-The CSV serializers return a bytearray holding the whole file.  It is
-allocated once, at _MAX_TEXT bytes per value (the longest %.17g text and its
-separator), and cut to length at the end.  Rows of values are formatted by
-numpy arithmetic in blocks of about _BLOCK_VALUES values: each value's 17
-significant digits come from an exact double-double product with a table of
-powers of ten, its characters go into a fixed-width record, and a keep mask
-per %g layout picks the ones "%.17g" writes.  Only nan, +-inf and values
-within 1e-9 of a rounding tie are formatted one by one with "%.17g".  When
-the process may use two CPUs and the array spans two blocks, one helper
-thread formats every other block into its own record; the caller copies each
-block's text into the buffer in order.  The bytes are those of a per-value
-"%.17g" join, with or without the helper.
+A grid export is a stream of chunks that atomic_write_chunks writes into the
+temp file one at a time (grid_csv_chunks, grid_pgm_chunks; the CLI writes
+these), so no whole-file copy is held: a 1536^2 grid peaks at about 7 MB of
+Python allocations as CSV (13 MB with the helper thread) and 2 MB as 16-bit
+PGM.  grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into
+one object for library callers; the CSV collectors allocate one buffer at
+_MAX_TEXT bytes per value (the longest %.17g text and its separator) and cut
+it to length at the end.
+
+CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
+values: each value's 17 significant digits come from an exact double-double
+product with a table of powers of ten, its characters go into a fixed-width
+record, and a keep mask per %g layout picks the ones "%.17g" writes.  Only
+nan, +-inf and values within 1e-9 of a rounding tie are formatted one by one
+with "%.17g".  When the process may use two CPUs and the array spans two
+blocks, one helper thread formats every other block into its own record and
+hands each block's text over through a one-slot handoff, so at most two
+blocks of text are alive; the chunks come out in order, and their bytes are
+those of a per-value "%.17g" join, with or without the helper.
+
+A PGM's mapped range is found first without a copy of the grid (logabs
+takes the extremes block by block), then blocks of _PGM_ROWS rows are
+mapped, rounded and cast to samples.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ import functools
 import math
 import os
 import tempfile
+import threading
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +56,10 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
+def atomic_write_chunks(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like chunks, in order, to a temp file beside path and
+    rename it onto path.  On any error or interrupt the temp file is removed
+    and path is left as it was; a generator of chunks is closed either way."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-export-")
     # mkstemp creates the file 0600 and the rename keeps it: give the output
@@ -52,12 +69,21 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     try:
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    finally:
+        close = getattr(chunks, "close", None)
+        if close is not None:
+            close()  # stops a stream's helper thread
+
+
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    atomic_write_chunks(path, (payload,))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -232,10 +258,10 @@ _BLOCK_VALUES = 1 << 14
 _MAX_TEXT = 25
 
 
-def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
-    """head, then each row of a 2-D array as a line of %.17g values, in one
-    presized buffer; odd blocks go to a helper thread when there are two
-    CPUs and two blocks (see the module docstring)."""
+def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
+    """head, then the text of each block of rows, each row a line of %.17g
+    values; odd blocks go to a helper thread when there are two CPUs and two
+    blocks (see the module docstring)."""
     rows = np.asarray(rows, dtype=np.float64)
     nrows, ncols = rows.shape
     step = max(1, _BLOCK_VALUES // ncols)
@@ -243,30 +269,61 @@ def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
     rec = np.tile(_TEMPLATE, (min(step, nrows), ncols, 1))
     rec[:, -1, _SEP] = ord("\n")
     rec = rec.reshape(-1, _WIDTH)
-    buf = bytearray(len(head) + _MAX_TEXT * rows.size)
-    buf[: len(head)] = head
-    end = len(head)
 
     def block(start: int, record: np.ndarray) -> np.ndarray:
         return _format_values(rows[start : start + step].ravel(), record)
 
-    pool = None
-    if len(starts) >= 2 and cpu_count() >= 2:
-        from concurrent.futures import ThreadPoolExecutor
+    yield head
+    if len(starts) < 2 or cpu_count() < 2:
+        for start in starts:
+            yield block(start, rec)
+        return
 
-        pool, helper_rec = ThreadPoolExecutor(1), rec.copy()
+    # one-slot handoff: the helper starts its next block only once the caller
+    # has taken the last one, so at most two blocks of text are alive
+    helper_rec, slot = rec.copy(), []
+    free, full, stop = threading.Semaphore(1), threading.Semaphore(0), threading.Event()
+
+    def work() -> None:
+        for start in starts[1::2]:
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                slot.append(block(start, helper_rec))
+            except BaseException as exc:
+                slot.append(exc)
+                full.release()
+                return
+            full.release()
+
+    helper = threading.Thread(target=work, name="subzurek-csv")
+    helper.start()
     try:
-        # with a helper, it formats each odd block while the caller formats
-        # the even block before it
         for i, start in enumerate(starts):
-            if pool is not None and i % 2 == 0 and i + 1 < len(starts):
-                ahead = pool.submit(block, starts[i + 1], helper_rec)
-            text = ahead.result() if pool is not None and i % 2 else block(start, rec)
-            buf[end : end + text.size] = text.data
-            end += text.size
+            if i % 2 == 0:
+                text = block(start, rec)
+            else:
+                full.acquire()
+                text = slot.pop()
+                free.release()
+                if isinstance(text, BaseException):
+                    raise text
+            yield text
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        stop.set()
+        free.release()
+        helper.join()
+
+
+def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
+    """The chunks of _csv_chunks in one buffer, presized at _MAX_TEXT bytes
+    per value and cut to length."""
+    buf = bytearray(len(head) + _MAX_TEXT * np.size(rows))
+    end = 0
+    for chunk in _csv_chunks(head, rows):
+        buf[end : end + len(chunk)] = memoryview(chunk)
+        end += len(chunk)
     del buf[end:]
     return buf
 
@@ -278,13 +335,21 @@ def _header(header_comments: list[str] | None, *lines: str) -> bytes:
     return text.encode("utf-8")
 
 
+def _grid_head(grid: PhaseSpaceGrid, header_comments: list[str] | None) -> bytes:
+    w = grid.window
+    bounds = ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
+    return _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
+
+
+def grid_csv_chunks(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> Iterator:
+    """The chunks of grid_to_csv's text, in order, for atomic_write_chunks."""
+    return _csv_chunks(_grid_head(grid, header_comments), grid.values)
+
+
 def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> bytearray:
     """Serialize a grid: comment lines, the six-field lattice header row, then
     nx rows of np comma-separated values (row-major)."""
-    w = grid.window
-    bounds = ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
-    head = _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
-    return _csv_bytes(head, grid.values)
+    return _csv_bytes(_grid_head(grid, header_comments), grid.values)
 
 
 def cut_to_csv(
@@ -299,6 +364,56 @@ def cut_to_csv(
     return _csv_bytes(head, np.column_stack((coords, values)))
 
 
+# rows per PGM block: a block's float copy stays under 1 MB for 1536 columns
+_PGM_ROWS = 64
+
+
+def _premapped(values: np.ndarray, mapping: str) -> np.ndarray:
+    """A new float array that the linear or logabs map sends affinely to [0,1]."""
+    if mapping == MAP_LINEAR:
+        return np.array(values, dtype=np.float64)
+    unit = np.abs(values, dtype=np.float64)
+    np.maximum(unit, LOG_FLOOR, out=unit)
+    np.log(unit, out=unit)
+    return unit
+
+
+def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
+    """The (lo, hi) that map_values sends to (0, 1), with no copy of values:
+    logabs takes the extremes of each block of rows."""
+    if mapping == MAP_SIGNED:
+        m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
+        return (-0.0, 0.0) if m == 0.0 else (-m, m)
+    if mapping == MAP_LINEAR:
+        return float(values.min()), float(values.max())
+    if mapping != MAP_LOGABS:
+        raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
+    lows, highs = [], []
+    for start in range(0, len(values), _PGM_ROWS):
+        logs = _premapped(values[start : start + _PGM_ROWS], mapping)
+        lows.append(logs.min())
+        highs.append(logs.max())
+    return float(np.min(lows)), float(np.max(highs))  # a nan propagates
+
+
+def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.ndarray:
+    """values sent to [0,1] by the map whose range is (lo, hi), as one new array."""
+    if mapping == MAP_SIGNED:
+        if hi == 0.0:
+            return np.full_like(values, 0.5)
+        unit = values + hi
+        unit /= 2.0 * hi
+        return unit
+    unit = _premapped(values, mapping)
+    span = hi - lo
+    if span > 0.0:
+        unit -= lo
+        unit /= span
+    else:
+        unit.fill(0.0)
+    return unit
+
+
 def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, float]:
     """Map raw values to [0,1] per the chosen scheme; returns (unit, lo, hi).
 
@@ -308,29 +423,43 @@ def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, flo
 
     unit is one new array, mapped in place; values is left unchanged.
     """
-    if mapping == MAP_SIGNED:
-        m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
-        if m == 0.0:
-            return np.full_like(values, 0.5), -0.0, 0.0
-        unit = values + m
-        unit /= 2.0 * m
-        return unit, -m, m
-    if mapping == MAP_LINEAR:
-        unit = np.array(values, dtype=np.float64)
-    elif mapping == MAP_LOGABS:
-        unit = np.abs(values, dtype=np.float64)
-        np.maximum(unit, LOG_FLOOR, out=unit)
-        np.log(unit, out=unit)
-    else:
-        raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
-    lo, hi = float(unit.min()), float(unit.max())
-    span = hi - lo
-    if span > 0.0:
-        unit -= lo
-        unit /= span
-    else:
-        unit.fill(0.0)
-    return unit, lo, hi
+    lo, hi = _mapped_range(values, mapping)
+    return _map_block(values, mapping, lo, hi), lo, hi
+
+
+def grid_pgm_chunks(
+    grid: PhaseSpaceGrid,
+    mapping: str = MAP_SIGNED,
+    bits: int = 8,
+    header_comments: list[str] | None = None,
+) -> Iterator:
+    """The chunks of grid_to_pgm's bytes, in order, for atomic_write_chunks.
+    The bits, the mapping and the mapped range are checked and found here,
+    before the first chunk is asked for."""
+    if bits not in (8, 16):
+        raise ValueError(f"bits must be 8 or 16, got {bits}")
+    lo, hi = _mapped_range(grid.values, mapping)
+    maxval = (1 << bits) - 1
+    w = grid.window
+    header = [
+        "P5",
+        f"# map={mapping} mapped_min={_fmt(lo)} mapped_max={_fmt(hi)} floor={_fmt(LOG_FLOOR)}",
+        f"# x_min={_fmt(w.x_min)} x_max={_fmt(w.x_max)} p_min={_fmt(w.p_min)} p_max={_fmt(w.p_max)}",
+    ]
+    header += [f"# {c}" for c in (header_comments or [])]
+    header.append(f"{w.np} {w.nx}")
+    header.append(str(maxval))
+    head = ("\n".join(header) + "\n").encode("ascii")
+
+    def chunks() -> Iterator:
+        yield head
+        for start in range(0, len(grid.values), _PGM_ROWS):
+            unit = _map_block(grid.values[start : start + _PGM_ROWS], mapping, lo, hi)
+            unit *= maxval
+            np.rint(unit, out=unit)
+            yield unit.astype(">u2" if bits == 16 else np.uint8)
+
+    return chunks()
 
 
 def grid_to_pgm(
@@ -344,23 +473,7 @@ def grid_to_pgm(
     Rows run along p (width = np, height = nx); 16-bit samples are big-endian
     per the PGM format.  logabs values are floored at 1e-300 before the log.
     """
-    if bits not in (8, 16):
-        raise ValueError(f"bits must be 8 or 16, got {bits}")
-    unit, lo, hi = map_values(grid.values, mapping)
-    maxval = (1 << bits) - 1
-    unit *= maxval
-    np.rint(unit, out=unit)
-    w = grid.window
-    header = [
-        "P5",
-        f"# map={mapping} mapped_min={_fmt(lo)} mapped_max={_fmt(hi)} floor={_fmt(LOG_FLOOR)}",
-        f"# x_min={_fmt(w.x_min)} x_max={_fmt(w.x_max)} p_min={_fmt(w.p_min)} p_max={_fmt(w.p_max)}",
-    ]
-    header += [f"# {c}" for c in (header_comments or [])]
-    header.append(f"{w.np} {w.nx}")
-    header.append(str(maxval))
-    head = ("\n".join(header) + "\n").encode("ascii")
-    return head + unit.astype(">u2" if bits == 16 else np.uint8).tobytes()
+    return b"".join(grid_pgm_chunks(grid, mapping, bits, header_comments))
 
 
 def log_profile(values: np.ndarray) -> np.ndarray:

@@ -476,8 +476,7 @@ class TestConfigFile:
 
 
 def test_cli_import_loads_neither_mpmath_nor_a_thread_pool():
-    # both load only where they are used: eval_f_fourier and a CSV export
-    # that starts a helper thread
+    # mpmath loads only in eval_f_fourier; the CSV helper is a bare thread
     src = os.path.dirname(os.path.dirname(os.path.abspath(subzurek.__file__)))
     code = "import sys, subzurek.cli; print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -17,8 +18,11 @@ from subzurek.export import (
     _MAX_TEXT,
     _csv_bytes,
     atomic_write_bytes,
+    atomic_write_chunks,
     atomic_write_text,
     cut_to_csv,
+    grid_csv_chunks,
+    grid_pgm_chunks,
     grid_to_csv,
     grid_to_pgm,
     log_profile,
@@ -275,6 +279,17 @@ class TestTwoThreads:
             formatted(np.ones((4 * _BLOCK_VALUES // 16, 16)))
         assert threading.active_count() == before
 
+    def test_helper_loads_no_thread_pool(self):
+        code = (
+            "import sys, numpy as np; from subzurek import export; export.cpu_count = lambda: 2; "
+            "export._csv_bytes(b'', np.ones((4, export._BLOCK_VALUES // 2))); "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(export.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestValueMaps:
     def test_linear(self):
@@ -391,3 +406,170 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o644
+
+
+def live_helpers() -> list:
+    return [t for t in threading.enumerate() if t.name == "subzurek-csv"]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pgm_reference(values, mapping, bits) -> bytes:
+    """The samples of a whole-array map, rounded and cast."""
+    maxval = (1 << bits) - 1
+    pixels = np.rint(unit_before_in_place(values, mapping) * maxval)
+    return pixels.astype(np.uint16).astype(">u2" if bits == 16 else np.uint8).tobytes()
+
+
+class TestStreamedWrite:
+    def test_peak_memory(self, cpus, tmp_path):
+        # the CLI's 1536^2 grid: the streamed writes hold a few blocks, not
+        # the 54 MB of CSV text or the 19 MB float copy of a whole-grid map
+        n = 1536
+        values = np.random.default_rng(7).standard_normal((n, n)) * 1e-3
+        grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, n, n), values)
+        csv, pgm = str(tmp_path / "grid.csv"), str(tmp_path / "grid.pgm")
+        csv_peak = traced_peak(lambda: atomic_write_chunks(csv, grid_csv_chunks(grid, ["peak"])))
+        pgm_peak = traced_peak(lambda: atomic_write_chunks(pgm, grid_pgm_chunks(grid, "signed", 16)))
+        assert os.path.getsize(csv) > 50e6 and os.path.getsize(pgm) > 2 * n * n
+        assert csv_peak <= 16e6
+        assert pgm_peak <= 4e6
+
+    # a window needs two samples per axis, so the one-row cases are the last
+    # PGM block of 129 rows and the two-row grid's CSV block
+    @pytest.mark.parametrize("shape", [(133, 200), (129, 50), (2, 300), (64, 5)],
+                             ids=["ragged-blocks", "one-row-tail", "two-rows", "one-pgm-block"])
+    @pytest.mark.parametrize("zero", [False, True], ids=["values", "all-zero"])
+    def test_stream_matches_collectors(self, cpus, tmp_path, shape, zero):
+        rng = np.random.default_rng(shape[0])
+        values = rng.standard_normal(shape) * np.exp(-rng.uniform(0.0, 700.0, shape))
+        values[::5, ::4] = 0.0
+        if zero:
+            values[:] = 0.0
+        values[0, 0] = -0.0
+        grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -2.0, 2.0, *shape), values)
+        path = str(tmp_path / "out")
+        atomic_write_chunks(path, grid_csv_chunks(grid, ["note"]))
+        with open(path, "rb") as fh:
+            text = fh.read()
+        assert text == grid_to_csv(grid, ["note"])
+        assert text.endswith(per_value_join(values))
+        for mapping in ("signed", "linear", "logabs"):
+            for bits in (8, 16):
+                atomic_write_chunks(path, grid_pgm_chunks(grid, mapping, bits, ["note"]))
+                with open(path, "rb") as fh:
+                    blob = fh.read()
+                assert blob == grid_to_pgm(grid, mapping, bits, ["note"])
+                body = blob.split(b"\n%d\n" % ((1 << bits) - 1), 1)[1]
+                if zero:
+                    # signed: M = 0 maps to mid-gray; linear and logabs: no span
+                    mid = np.rint(0.5 * ((1 << bits) - 1)) if mapping == "signed" else 0
+                    assert np.all(np.frombuffer(body, ">u2" if bits == 16 else np.uint8) == mid)
+                else:
+                    assert body == pgm_reference(values, mapping, bits)
+
+    def test_bad_map_raises_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="mapping"):
+            atomic_write_chunks(str(tmp_path / "x.pgm"), grid_pgm_chunks(small_grid(), "rainbow"))
+        with pytest.raises(ValueError, match="bits"):
+            grid_pgm_chunks(small_grid(), "linear", bits=12)
+        assert list(tmp_path.iterdir()) == []
+
+
+def block_grid(nblocks: int = 5, ncols: int = 16) -> PhaseSpaceGrid:
+    """A grid whose k-th CSV block holds the value k throughout."""
+    step = _BLOCK_VALUES // ncols
+    values = np.repeat(np.arange(float(nblocks)), step)[:, None] * np.ones(ncols)
+    return PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, *values.shape), values)
+
+
+class TestStreamedWriteAtomicity:
+    """A failure part way through a stream leaves the target as it was, no
+    temp file, and no helper thread."""
+
+    def check(self, tmp_path, chunks, error):
+        target = tmp_path / "grid.csv"
+        target.write_bytes(b"previous contents\n")
+        before = threading.active_count()
+        with pytest.raises(error):
+            atomic_write_chunks(str(target), chunks)
+        assert target.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+        assert not live_helpers()
+        assert threading.active_count() == before
+
+    def failing_block(self, monkeypatch, k, error):
+        fmt = export._format_values
+
+        def failing(v, rec):
+            if v[0] == k:
+                raise error(f"block {k}")
+            return fmt(v, rec)
+
+        monkeypatch.setattr(export, "_format_values", failing)
+
+    def test_formatter_error_in_a_helper_block(self, cpus, tmp_path, monkeypatch):
+        # block 1 is the helper's first block on two CPUs
+        self.failing_block(monkeypatch, 1, ArithmeticError)
+        self.check(tmp_path, grid_csv_chunks(block_grid()), ArithmeticError)
+
+    def test_interrupt_from_the_chunk_iterator(self, cpus, tmp_path, monkeypatch):
+        # block 2 is the caller's, formatted while the helper holds block 3
+        self.failing_block(monkeypatch, 2, KeyboardInterrupt)
+        self.check(tmp_path, grid_csv_chunks(block_grid()), KeyboardInterrupt)
+
+    def test_early_close_under_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(export, "cpu_count", lambda: 2)
+        grid, closed = block_grid(7), []
+
+        def consume_and_close():
+            for k in range(10):  # head, then 7 blocks, then past the end
+                stream = grid_csv_chunks(grid)
+                for _ in zip(range(k), stream):
+                    pass
+                stream.close()
+                closed.append(not live_helpers())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=consume_and_close)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert closed == [True] * 10
+
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_write_error_after_some_chunks(self, cpus, tmp_path, monkeypatch, fmt):
+        real_fdopen, writes = os.fdopen, []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                writes.append(len(chunk))
+                if len(writes) > 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+        grid = block_grid()
+        chunks = grid_csv_chunks(grid) if fmt == "csv" else grid_pgm_chunks(grid, "signed", 16)
+        self.check(tmp_path, chunks, OSError)
+        assert len(writes) == 3
