@@ -7,8 +7,8 @@ files.
 
 A grid export is a stream of chunks that atomic_write_chunks writes into the
 temp file one at a time (grid_csv_chunks, grid_pgm_chunks; the CLI writes
-these), so no whole-file copy is held: a 1536^2 grid peaks at about 7 MB of
-Python allocations as CSV (13 MB with the helper thread) and 2 MB as 16-bit
+these), so no whole-file copy is held: a 1536^2 grid peaks at about 4.5 MB of
+Python allocations as CSV (8 MB with the helper thread) and 2 MB as 16-bit
 PGM.  grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into
 one object for library callers; the CSV collectors allocate one buffer at
 _MAX_TEXT bytes per value (the longest %.17g text and its separator) and cut
@@ -16,14 +16,27 @@ it to length at the end.
 
 CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
 values: each value's 17 significant digits come from an exact double-double
-product with a table of powers of ten, its characters go into a fixed-width
-record, and a keep mask per %g layout picks the ones "%.17g" writes.  Only
-nan, +-inf and values within 1e-9 of a rounding tie are formatted one by one
-with "%.17g".  When the process may use two CPUs and the array spans two
-blocks, one helper thread formats every other block into its own record and
-hands each block's text over through a one-slot handoff, so at most two
-blocks of text are alive; the chunks come out in order, and their bytes are
-those of a per-value "%.17g" join, with or without the helper.
+product with a table of powers of ten.  Its text is built in a 32-byte
+record of four uint64 words (sign, "0.000" prefix, lead digit and point;
+digits 2-9; digits 10-17; exponent and separator), each word made for the
+whole block from small tables.  One AND with a keep mask per (sign, %g
+layout, digits shown) zeroes the bytes "%.17g" does not write, and a
+boolean mask of the nonzero bytes packs the rest.  Only nan, +-inf and
+values within 1e-9 of a rounding tie are formatted one by one with
+"%.17g".  Every whole-block step is a numpy call that releases the GIL, so
+a helper thread's blocks overlap the caller's.  Measured on the four
+Fig. 1-2 grids on a 2-core x86 VM: bytes.translate packs with less CPU
+(1.50 against 1.76 s on one thread) but holds the GIL, so on two threads
+it took 1.13 s of wall time against 0.95 s.  np.compress builds an int64
+index per kept byte, 2.8 MB a block; its two threads took 1.98 s against
+1.05 s under glibc's default malloc settings, and 1.08 against 0.98 s with
+the mmap and trim thresholds fixed at 32 and 64 MiB.
+
+When the process may use two CPUs and the array spans two blocks, one
+helper thread formats every other block into its own record and hands each
+block's text over through a one-slot handoff, so at most two blocks of text
+are alive; the chunks come out in order, and their bytes are those of a
+per-value "%.17g" join, with or without the helper.
 
 A PGM's mapped range is found first without a copy of the grid (logabs
 takes the extremes block by block), then blocks of _PGM_ROWS rows are
@@ -148,56 +161,101 @@ def _scaled(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
     return whole.astype(np.int64) + below.astype(np.int64), rest - below
 
 
-# A value's fixed-width record: its sign, the "0.000" of 1e-4 <= |v| < 1,
-# the 17 digits each followed by a decimal-point slot, "e", the exponent's
-# sign and three digits, and the separator.  A keep mask per (sign, layout,
-# significant digits) selects the characters %g writes.
-_SIGN, _ZEROS, _DIGITS, _EXP, _SEP = 0, 1, 6, 39, 44
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
-_WIDTH = _TEMPLATE.size
+# A value's record is 32 bytes, four little-endian uint64 words:
+#   word 0: the sign, the "0.000" of 1e-4 <= |v| < 1, the lead digit, a point
+#   word 1: digits 2-9        word 2: digits 10-17
+#   word 3: "e", the exponent's sign and three digits, the separator, 2 zeros
+# Each word is built for the whole block from small tables, then ANDed with
+# the keep mask of the value's (sign, layout, significant digits), which
+# zeroes every byte %g does not write; packing the nonzero bytes gives the
+# text.  In the fixed form with the point among the digits (1 <= X <= 15 and
+# more than X + 1 digits) the X digits after the lead move down one byte
+# over the point's slot and the point goes after them.
+_LEAD, _EXP, _SEP, _WIDTH = 6, 24, 29, 32
 # layouts: fixed for X = -4..16 (X + 4), then e+XX and e+XXX
 _LAYOUTS = 23
+_X_MIN, _X_MAX = -324, 308  # decimal exponents of the nonzero float64s
+
+
+def _word_masks(bytemask: np.ndarray) -> np.ndarray:
+    """Boolean byte masks (..., 8k) as uint64 words (..., k) of 0xff bytes."""
+    return np.where(bytemask, np.uint8(0xFF), np.uint8(0)).view(np.uint64)
 
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The four ASCII digits of 0..9999 as one uint32 each, and their
-    trailing-zero counts (4 for 0)."""
+    """The four ASCII digits of 0..9999 as one uint64 each (in its low four
+    bytes), and their trailing-zero counts (4 for 0)."""
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     chars = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
     zeros = np.cumprod(chars[:, ::-1] == ord("0"), axis=1, dtype=np.int8)
     zeros = zeros.sum(axis=1, dtype=np.int8)
-    return chars.view(np.uint32).ravel(), zeros
+    return chars.view(np.uint32).ravel().astype(np.uint64), zeros
 
 
 @functools.cache
-def _keep_masks() -> np.ndarray:
-    """Boolean masks of the record, one row per (negative, layout, s)."""
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Indexed by X - _X_MIN: word 3 ("e-324," ... "e+308,") and the layout's
+    part of the keep-table key, 17 times the layout."""
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    words = b"".join(b"e%c%03d,\0\0" % (ord("-") if k < 0 else ord("+"), abs(k)) for k in x.tolist())
+    layout = np.where((x < -4) | (x > 16), 21 + (np.abs(x) >= 100), x + 4)
+    return np.frombuffer(words, np.uint64), 17 * layout
+
+
+@functools.cache
+def _keep_table() -> tuple[np.ndarray, np.ndarray]:
+    """The keep masks (uint64, 4 words) of each (negative, layout, s) key, s
+    the significant digits, and whether the key's point sits among the digits."""
     neg, layout, s = (a.reshape(-1, 1) for a in np.indices((2, _LAYOUTS, 17)))
     s = s + 1
     x = layout - 4
     fixed = layout <= 20
     pos = np.arange(_WIDTH)
-    i = (pos - _DIGITS) // 2  # the digit a digit or point slot belongs to
-    slot = (pos >= _DIGITS) & (pos < _EXP)
-    digit, point = slot & (pos % 2 == 0), slot & (pos % 2 == 1)
-    # fixed form shows every integer digit; a point follows the last one
+    # the digit each byte holds: the lead at _LEAD, digit k >= 2 at _LEAD + k
+    digit = np.where(pos == _LEAD, 1, np.where((pos > _LEAD + 1) & (pos < _EXP), pos - _LEAD, 0))
+    # fixed form shows every integer digit
     shown = np.where(fixed & (x >= 0), np.maximum(s, x + 1), s)
-    point_after = np.where(fixed, x, 0)
+    inside = fixed & (x >= 1) & (s > x + 1)
+    point = (s > 1) & (~fixed | (x == 0) | inside)
     exp = (pos == _EXP) | (pos == _EXP + 1) | (pos >= _EXP + 3 - (layout == 22)) & (pos < _SEP)
-    return (
-        (pos == _SIGN) & (neg == 1)
-        | (pos >= _ZEROS) & (pos < _DIGITS) & fixed & (pos - _ZEROS < 1 - x) & (x < 0)
-        | digit & (i < shown)
-        | point & (i == point_after) & (shown > i + 1)
+    keep = (
+        (pos == 0) & (neg == 1)
+        | (pos >= 1) & (pos < _LEAD) & fixed & (pos < 2 - x) & (x < 0)
+        | (digit > 0) & (digit <= shown)
+        | (pos == _LEAD + 1) & point
         | exp & ~fixed
         | (pos == _SEP)
     )
+    return _word_masks(keep), inside.ravel()
 
 
-def _format_values(v: np.ndarray, rec: np.ndarray) -> np.ndarray:
-    """The %.17g text (uint8) of each value of v, followed by its separator
-    in rec, whose variable characters it overwrites."""
+@functools.cache
+def _point_moves() -> np.ndarray:
+    """Indexed [mask, word, X] for words 0-2 and X = 0..16: the bytes that
+    take the next byte's digit, the bytes that stay, and the point."""
+    x = np.arange(17).reshape(-1, 1)
+    pos = np.arange(3 * 8)
+    moved = (pos > _LEAD) & (pos <= _LEAD + x)
+    point = pos == _LEAD + 1 + x
+    dot = np.where(point, np.uint8(ord(".")), np.uint8(0)).view(np.uint64)
+    return np.stack([_word_masks(moved), _word_masks(~moved & ~point), dot]).transpose(0, 2, 1)
+
+
+_WORD0 = int.from_bytes(b"-0.0000.", "little")  # lead digit 0
+_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 8 * (_SEP - _EXP))
+
+
+def _one_by_one(values: np.ndarray) -> list[bytes]:
+    """The "%.17g" text of each value, one Python float at a time: only nan,
+    +-inf and near-ties take this path."""
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def _format_values(v: np.ndarray, rec: np.ndarray, ncols: int) -> np.ndarray:
+    """The %.17g text (uint8) of each value of v, rows of ncols values, each
+    value followed by ',' or, at a row's end, '\\n'.  rec is an (n, 4) uint64
+    workspace."""
     n = v.size
     rec = rec[:n]
     a = np.abs(v)
@@ -219,36 +277,49 @@ def _format_values(v: np.ndarray, rec: np.ndarray) -> np.ndarray:
     digits[carry] = 10**16
     x += carry
     digits = np.where(regular, digits, 0)  # +-0 prints as one digit, X = 0
-    x = np.where(regular, x, 0)
+    at = np.where(regular, x, 0) - _X_MIN  # the exponent tables' index
 
-    chars, zeros = _digit_tables()
-    lead, digits = np.divmod(digits, 10**16)
-    g = np.empty((n, 4), np.int64)
-    g[:, 0], digits = np.divmod(digits, 10**12)
-    g[:, 1], digits = np.divmod(digits, 10**8)
-    g[:, 2], g[:, 3] = np.divmod(digits, 10**4)
-    rec[:, _DIGITS] = lead + ord("0")
-    rec[:, _DIGITS + 2 : _EXP : 2] = chars.take(g).view(np.uint8)
-    # trailing zeros of the last 16 digits: a zero group passes the count on
-    z = zeros.take(g)
-    trailing = z[:, 0]
-    for col in (1, 2, 3):
-        trailing = z[:, col] + (g[:, col] == 0) * trailing
-    ax = np.abs(x)
-    rec[:, _EXP + 1 : _SEP] = chars.take(ax).view(np.uint8).reshape(n, 4)
-    rec[:, _EXP + 1] = np.where(x < 0, ord("-"), ord("+"))
+    # words 0-2 as rows of w; words 1 and 2 from four-digit groups
+    four, zeros = _digit_tables()
+    head = digits // 10**8  # digits 1-9
+    groups = np.empty((2, n), np.int64)
+    groups[1] = digits - head * 10**8
+    lead = head // 10**8
+    groups[0] = head - lead * 10**8
+    left = groups // 10**4  # the first four digits of each group
+    right = groups - left * 10**4
+    w = np.empty((3, n), np.uint64)
+    np.left_shift(lead.view(np.uint64), np.uint64(8 * _LEAD), out=w[0])
+    w[0] += np.uint64(_WORD0)
+    np.left_shift(four.take(right), np.uint64(32), out=w[1:])
+    w[1:] |= four.take(left)
+    # trailing zeros of digits 2-17: a zero group passes the count on
+    z = zeros.take(right) + (right == 0) * zeros.take(left)
+    trailing = z[1] + (z[1] == 8) * z[0]
 
-    layout = np.where((x < -4) | (x > 16), 21 + (ax >= 100), x + 4)
-    key = (np.signbit(v) * _LAYOUTS + layout) * 17 + (16 - trailing)
-    keep = _keep_masks().take(key, axis=0)
+    words, layouts = _exponent_tables()
+    keep, inside = _keep_table()
+    key = layouts.take(at) + np.signbit(v) * (_LAYOUTS * 17) + (16 - trailing)
+    moved = np.flatnonzero(inside.take(key))
+    if moved.size:
+        near = w[:, moved]
+        shifted = near >> np.uint64(8)
+        shifted[:2] |= near[1:] << np.uint64(56)
+        take, stay, point = _point_moves()[:, :, at.take(moved) + _X_MIN]
+        w[:, moved] = shifted & take | near & stay | point
+    keep.take(key, axis=0, out=rec, mode="clip")
+    exponent = words.take(at)
+    exponent[ncols - 1 :: ncols] ^= _NEWLINE
+    for k, word in enumerate((*w, exponent)):
+        rec[:, k] &= word
+
+    chars = rec.view(np.uint8)
     fallback = np.flatnonzero(~finite | tie)
-    for i in fallback:
-        text = b"%.17g" % v[i]
-        rec[i, : len(text)] = np.frombuffer(text, np.uint8)
-        keep[i, :_SEP] = np.arange(_SEP) < len(text)
-    text = np.compress(keep.ravel(), rec)
-    rec[fallback, :_SEP] = _TEMPLATE[:_SEP]
-    return text
+    for i, text in zip(fallback, _one_by_one(v.take(fallback))):
+        chars[i, :_SEP] = 0
+        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+    chars = chars.ravel()
+    return chars[chars != 0]
 
 
 # values per block: enough to amortize the per-block numpy calls, few enough
@@ -266,12 +337,10 @@ def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
     nrows, ncols = rows.shape
     step = max(1, _BLOCK_VALUES // ncols)
     starts = range(0, nrows, step)
-    rec = np.tile(_TEMPLATE, (min(step, nrows), ncols, 1))
-    rec[:, -1, _SEP] = ord("\n")
-    rec = rec.reshape(-1, _WIDTH)
+    rec = np.empty((min(step, nrows) * ncols, _WIDTH // 8), np.uint64)
 
     def block(start: int, record: np.ndarray) -> np.ndarray:
-        return _format_values(rows[start : start + step].ravel(), record)
+        return _format_values(rows[start : start + step].ravel(), record, ncols)
 
     yield head
     if len(starts) < 2 or cpu_count() < 2:
@@ -281,7 +350,7 @@ def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
 
     # one-slot handoff: the helper starts its next block only once the caller
     # has taken the last one, so at most two blocks of text are alive
-    helper_rec, slot = rec.copy(), []
+    helper_rec, slot = np.empty_like(rec), []
     free, full, stop = threading.Semaphore(1), threading.Semaphore(0), threading.Event()
 
     def work() -> None:

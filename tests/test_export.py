@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -210,10 +211,10 @@ def helper_threads(monkeypatch) -> set:
     """Record the idents of threads other than the caller's that format blocks."""
     seen, caller, fmt = set(), threading.get_ident(), export._format_values
 
-    def recording(v, rec):
+    def recording(*args):
         if threading.get_ident() != caller:
             seen.add(threading.get_ident())
-        return fmt(v, rec)
+        return fmt(*args)
 
     monkeypatch.setattr(export, "_format_values", recording)
     return seen
@@ -268,10 +269,10 @@ class TestTwoThreads:
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
         caller, fmt = threading.get_ident(), export._format_values
 
-        def failing(v, rec):
+        def failing(*args):
             if threading.get_ident() != caller:
                 raise ArithmeticError("helper block")
-            return fmt(v, rec)
+            return fmt(*args)
 
         monkeypatch.setattr(export, "_format_values", failing)
         before = threading.active_count()
@@ -289,6 +290,106 @@ class TestTwoThreads:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def key_value(neg: int, layout: int, s: int) -> float:
+    """A value whose %.17g text has the given sign, %g layout (fixed for
+    X = -4..16 at X + 4, then e+XX, then e+XXX) and s significant digits."""
+    x = layout - 4 if layout <= 20 else (1 if s % 2 else -1) * (17 + s if layout == 21 else 100 + 10 * s)
+    rng = np.random.default_rng([neg, layout, s])
+    while True:
+        d = int(rng.integers(10 ** (s - 1), 10**s))
+        if s > 1:
+            d += int(rng.integers(1, 10)) - d % 10  # the last digit is significant
+        v = (-1) ** neg * float(f"{d}e{x - s + 1}")
+        mantissa, exponent = (b"%.16e" % abs(v)).split(b"e")
+        if int(exponent) == x and len(mantissa.replace(b".", b"").rstrip(b"0")) == s:
+            return v
+
+
+# every (sign, layout, significant digits) key of the keep table, in order
+KEYS = [(neg, layout, s) for neg in (0, 1) for layout in range(23) for s in range(1, 18)]
+
+
+class TestKeepTable:
+    @pytest.fixture(scope="class")
+    def values(self):
+        return np.array([key_value(*key) for key in KEYS])
+
+    def test_every_key_is_built(self, values):
+        assert len(KEYS) == 2 * 23 * 17 == 782
+        for (neg, layout, s), v in zip(KEYS, values):
+            text = b"%.17g" % v
+            assert text.startswith(b"-") == bool(neg)
+            if layout <= 20:
+                assert b"e" not in text and int((b"%.16e" % v).split(b"e")[1]) == layout - 4
+            else:
+                assert len(text.split(b"e")[1]) == (3 if layout == 21 else 4)
+
+    def test_within_one_row(self, values):
+        rows = values[None, :]
+        assert formatted(rows) == per_value_join(rows)
+
+    def test_split_across_a_block_boundary(self, cpus, values):
+        # one row per (sign, layout); the boundary falls after 23 of the 46
+        keyed = values.reshape(46, 17)
+        step = _BLOCK_VALUES // 17
+        rows = np.concatenate([np.full((step - 23, 17), 0.5), keyed])
+        assert formatted(rows) == per_value_join(rows)
+
+
+def near_tie(v: float) -> bool:
+    """Whether v's exact decimal value lies within 1e-9 of a unit of its 17th
+    significant digit from halfway between two 17-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 800  # every double's exact expansion
+        d = abs(Decimal(v))
+        scaled = d.scaleb(16 - d.adjusted())
+        return abs(scaled - int(scaled) - Decimal("0.5")) < Decimal("1e-9")
+
+
+def one_by_one_calls(monkeypatch) -> list:
+    """Record every value that the per-value %.17g path formats."""
+    seen, one_by_one = [], export._one_by_one
+
+    def recording(values):
+        seen.extend(values.tolist())
+        return one_by_one(values)
+
+    monkeypatch.setattr(export, "_one_by_one", recording)
+    return seen
+
+
+class TestNoPerValuePath:
+    """Finite values that are not near a rounding tie never take the
+    per-value path, the point among the digits included."""
+
+    def test_fractional_values_from_ten_to_1e17(self, cpus, monkeypatch):
+        rng = np.random.default_rng(16)
+        # below 2^52 a double has a fractional bit to spare, so X runs 1..15
+        rows = 10.0 ** rng.uniform(1.0, math.log10(2.0**52), (4 * _BLOCK_VALUES // 64, 64))
+        rows[rows == np.round(rows)] += 0.5
+        rows[:, ::2] *= -1.0
+        assert np.all(rows != np.round(rows))
+        seen = one_by_one_calls(monkeypatch)
+        assert formatted(rows) == per_value_join(rows)
+        # a value whose binary fraction ends just past its 17th digit can be
+        # an exact tie, and ties go one by one by design
+        assert 0 < len(seen) < rows.size // 4
+        assert all(near_tie(v) for v in seen)
+
+    def test_fig2c_logabs_cut(self, tmp_path, monkeypatch):
+        from subzurek.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        seen = one_by_one_calls(monkeypatch)
+        assert main(["wigner", "--preset", "fig2c", "--cut", "p", "--map", "logabs", "--out", "c"]) == 0
+        assert seen == []
+        lines = (tmp_path / "c_cut.csv").read_bytes().split(b"\n")
+        rows = [[float(v) for v in line.split(b",")] for line in lines[3:-1]]
+        logs = np.array(rows)[:, 1]
+        assert len(rows) > 100 and np.all((logs > -40.0) & (logs < -10.0))
+        assert b"\n".join(lines[3:]) == per_value_join(rows)
 
 
 class TestValueMaps:
@@ -508,10 +609,10 @@ class TestStreamedWriteAtomicity:
     def failing_block(self, monkeypatch, k, error):
         fmt = export._format_values
 
-        def failing(v, rec):
+        def failing(v, *args):
             if v[0] == k:
                 raise error(f"block {k}")
-            return fmt(v, rec)
+            return fmt(v, *args)
 
         monkeypatch.setattr(export, "_format_values", failing)
 
