@@ -199,7 +199,7 @@ def displacement_sensitivity(source, delta_x: float, delta_p: float) -> float:
     O(0) = 1 exactly; for a single Gaussian displaced in x it equals
     e^{-dx^2/(2 xi^2)}.
     """
-    # a zero shift reuses both unshifted Gram matrices, so O(0) is exactly 1
+    # the two shifts share one block of arithmetic, so a zero shift gives exactly 1
     base, shifted = displaced_overlaps(source, [(0.0, 0.0), (delta_x, delta_p)])
     return float(shifted / base)
 
@@ -219,7 +219,7 @@ def overlap_decay_scan(
         raise ValueError(f"scan needs finite max_delta > 0, steps >= 2, got {max_delta}, {steps}")
     ux, up = ux / norm, up / norm
     ts = np.linspace(0.0, max_delta, steps)
-    # ts[0] = 0 reuses the unshifted Gram matrices, so O(0) is exactly 1
+    # ts[0] = 0, so dividing by ov[0] makes O(0) exactly 1
     ov = displaced_overlaps(source, [(ux * t, up * t) for t in ts])
     return ts, ov / ov[0]
 

@@ -25,17 +25,28 @@ Gaussian-enveloped plane wave in p.  So W = X P^T with an x-factor matrix X
 form A e^{-(t-mu)^2/sigma^2} cos(omega t + phi).  _columns is the one place
 that turns a source into the table of those five parameters per column: a
 mixture concatenates its terms' columns, and a quarter-turned term swaps
-its two factors.  Everything else reads the table.  A grid is one matrix
-product of the evaluated columns, and a point or cut a row-wise sum of
-X * P.  suggested_window is six sigma past every column's mu.  Every
-integral of W over a whole axis is closed form too, with no grid, window or
-sampling rule: a column integrates to A sigma sqrt(pi) e^{-omega^2
-sigma^2/4} cos(omega mu + phi) (_integrals), so the position marginal is X
-times the P column integrals and the total integral the product of both
-sides' integrals.  A phase-space overlap, shifted or not, is a product of
-small R x R Gram matrices whose entries are exact Gaussian integrals over
-the real line.  The trapezoid overlap of two grids stays as the reference
-that tests compare these exact forms against.
+its two factors.  suggested_window reads the table and reaches six sigma
+past every column's mu.
+
+Many columns share one shape: a comb of m components has R columns but
+only 2m-1 distinct x shapes (the pair midpoints) and m distinct p shapes
+(the pair separations).  _basis groups the columns whose (mu, sigma, omega)
+are equal and whose phi agree mod pi into D unit-amplitude basis columns
+per axis, and scatters each column's signed amplitude into a D_x x D_p
+coefficient matrix C, so W = X_b C P_b^T; a column with a phase of its own
+keeps its own basis column, so D <= R.  Every reader uses the basis.  A
+grid is X_b (C P_b^T) or (X_b C) P_b^T, a product at rank min(D_x, D_p),
+and a point or cut a row-wise sum of (X_b C) * P_b.  Every integral of W
+over a whole axis is closed form too, with no grid, window or sampling
+rule: a column integrates to A sigma sqrt(pi) e^{-omega^2 sigma^2/4}
+cos(omega mu + phi) (_integrals), so the position marginal is X_b C times
+the P_b column integrals and the total integral the product of both sides'
+integrals through C.  A phase-space overlap, shifted or not, is
+sum(G_x * (C G_p C^T)) with G_x and G_p the D x D Gram matrices of the
+basis columns against their shifted copies, entries exact Gaussian
+integrals over the real line; a scan costs D^2 of them per step, where the
+column table would take 2 R^2.  The trapezoid overlap of two grids stays
+as the reference that tests compare these exact forms against.
 
 pair_kernel evaluates one ordered pair as written above, and
 _pair_sum_complex sums it over all ordered pairs.  That complex sum shares
@@ -163,15 +174,6 @@ def compass_mixture(L: float, xi: float, constants: PhysicalConstants | None = N
     return cross_state(build_cat(L / 2.0, xi, constants))
 
 
-def rotate_point(x, p):
-    """Quarter-turn of the evaluation point: (x, p) -> (-p, x).
-
-    Evaluating W at the returned point realizes the rotated distribution
-    W'(x,p) = W(-p, x).  Four applications return the original point exactly.
-    """
-    return -p, x
-
-
 def pair_kernel(state: StateSpec, j: int, k: int, x, p) -> complex:
     """Ordered-pair kernel of components j and k of a state; k is the
     conjugated side.
@@ -198,7 +200,7 @@ def _pair_sum_complex(state: StateSpec, x, p):
 
 
 # ---------------------------------------------------------------------------
-# factored core: W = X P^T
+# factored core: W = X P^T = X_b C P_b^T
 
 def _terms(source) -> tuple[MixtureTerm, ...]:
     if isinstance(source, StateSpec):
@@ -238,6 +240,45 @@ def _columns(source):
     return np.hstack(xs), np.hstack(ps)
 
 
+_HALF_PI = 0.5 * math.pi
+
+
+def _group(cols: np.ndarray):
+    """Unit-amplitude basis (5 x D) of a column table, the index (R,) of each
+    column's basis column and each column's signed amplitude (R,).
+
+    Columns of equal (mu, sigma, omega) whose phi agree mod pi share one
+    basis column: cos(u + phi) = -cos(u + phi - pi), so phi is folded into
+    [-pi/2, pi/2) and the fold's sign moves to the amplitude.  Any other
+    column keeps a basis column of its own, so D <= R.
+    """
+    amp, mu, sigma, omega, phi = cols
+    up, down = phi >= _HALF_PI, phi < -_HALF_PI
+    phi = np.where(up, phi - math.pi, np.where(down, phi + math.pi, phi))
+    keys = np.array([mu, sigma, omega, phi])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    basis = np.vstack([np.ones(np.count_nonzero(first)), keys[:, first]])
+    return basis, index, np.where(up | down, -amp, amp)
+
+
+def _basis(source):
+    """(X_b, P_b, C): the x and p basis columns of a source (5 x D_x and
+    5 x D_p, see _group) and the D_x x D_p coefficient matrix C, entry (a, b)
+    summing the amplitude products of the columns whose x side is basis
+    column a and whose p side is basis column b.  W = X_b C P_b^T."""
+    cols_x, cols_p = _columns(source)
+    basis_x, index_x, amp_x = _group(cols_x)
+    basis_p, index_p, amp_p = _group(cols_p)
+    dx, dp = basis_x.shape[1], basis_p.shape[1]
+    coeffs = np.bincount(index_x * dp + index_p, weights=amp_x * amp_p, minlength=dx * dp)
+    return basis_x, basis_p, coeffs.reshape(dx, dp)
+
+
 def _eval_columns(cols: np.ndarray, t: np.ndarray) -> np.ndarray:
     """A e^{-(t-mu)^2/sigma^2} cos(omega t + phi) of every column at every t,
     as a len(t) x R matrix: X at the x coordinates, P at the p coordinates,
@@ -262,12 +303,12 @@ _POINT_BLOCK = 256
 def eval_wigner(source, x, p):
     """W(x,p) of a StateSpec or MixtureSpec, exact closed form.
 
-    Row-wise sums of X*P over the core, _POINT_BLOCK points at a time so
-    memory stays O(N).  Scalars in, float out; arrays broadcast.
+    Row-wise sums of (X_b C) * P_b over the core, _POINT_BLOCK points at a
+    time so memory stays O(N).  Scalars in, float out; arrays broadcast.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    cols_x, cols_p = _columns(source)
+    basis_x, basis_p, coeffs = _basis(source)
     out = np.empty(np.broadcast_shapes(x.shape, p.shape))
     flat = out.reshape(-1)
     # a scalar coordinate, as on a cut, is one factor row for every block
@@ -275,9 +316,9 @@ def eval_wigner(source, x, p):
     ps = p.reshape(1) if p.ndim == 0 else np.broadcast_to(p, out.shape).ravel()
     for i in range(0, flat.size, _POINT_BLOCK):
         block = slice(i, i + _POINT_BLOCK)
-        X = _eval_columns(cols_x, xs if xs.size == 1 else xs[block])
-        P = _eval_columns(cols_p, ps if ps.size == 1 else ps[block])
-        flat[block] = (X * P).sum(axis=1)
+        X = _eval_columns(basis_x, xs if xs.size == 1 else xs[block])
+        P = _eval_columns(basis_p, ps if ps.size == 1 else ps[block])
+        flat[block] = ((X @ coeffs) * P).sum(axis=1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -289,15 +330,20 @@ def wigner_bound(constants: PhysicalConstants) -> float:
 
 
 def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:
-    """Fill the lattice with W = X P^T for a StateSpec or MixtureSpec."""
-    cols_x, cols_p = _columns(source)
+    """Fill the lattice with W = X_b C P_b^T for a StateSpec or MixtureSpec,
+    C folded into the side with more basis columns, so the product runs at
+    rank min(D_x, D_p)."""
+    basis_x, basis_p, coeffs = _basis(source)
     # the grid is allocated before its factors, so their memory returns to
     # the top of the heap: left as a hole below the grid, it made the CSV
     # buffer grown next raise the figures peak RSS by 5 MB
     values = np.empty((window.nx, window.np))
-    X = _eval_columns(cols_x, window.x_coords())
-    P = _eval_columns(cols_p, window.p_coords())
-    np.matmul(X, P.T, out=values)
+    X = _eval_columns(basis_x, window.x_coords())
+    P = _eval_columns(basis_p, window.p_coords())
+    if coeffs.shape[0] <= coeffs.shape[1]:
+        np.matmul(X, coeffs @ P.T, out=values)
+    else:
+        np.matmul(X @ coeffs, P.T, out=values)
     return PhaseSpaceGrid(window=window, values=values)
 
 
@@ -343,26 +389,27 @@ def _integrals(cols: np.ndarray) -> np.ndarray:
 
 def marginal_x(source, xs) -> np.ndarray:
     """Position marginal int W(x, p) dp at each x, exact over the whole p
-    line: X times the integrals of the P columns.  For a pure state it
+    line: X_b C times the integrals of the P_b columns.  For a pure state it
     equals |psi(x)|^2."""
-    cols_x, cols_p = _columns(source)
-    return _eval_columns(cols_x, np.asarray(xs, dtype=float)) @ _integrals(cols_p)
+    basis_x, basis_p, coeffs = _basis(source)
+    return _eval_columns(basis_x, np.asarray(xs, dtype=float)) @ (coeffs @ _integrals(basis_p))
 
 
 def total_integral(source) -> float:
     """int int W dx dp over the whole plane, exact (1 for a normalized state)."""
-    cols_x, cols_p = _columns(source)
-    return float(_integrals(cols_x) @ _integrals(cols_p))
+    basis_x, basis_p, coeffs = _basis(source)
+    return float(_integrals(basis_x) @ coeffs @ _integrals(basis_p))
 
 
-def _gram(cols: np.ndarray, d: float = 0.0) -> np.ndarray:
+def _gram(cols: np.ndarray, d=0.0) -> np.ndarray:
     """G[r, s] = int f_r(t) f_s(t - d) dt over the real line, in closed form.
 
     The shift maps mu_s to mu_s + d and phi_s to phi_s - omega_s d.  Each wave
     (Omega, Phi) = (omega_r +- omega_s, phi_r +- phi_s) of the cosine product
     adds A_r A_s sqrt(pi/a) e^{-(mu_r-mu_s)^2/(sigma_r^2+sigma_s^2)}
     e^{-Omega^2/4a} cos(Phi + b Omega/2a) / 2, with a = 1/sigma_r^2 +
-    1/sigma_s^2 and b = 2 mu_r/sigma_r^2 + 2 mu_s/sigma_s^2.
+    1/sigma_s^2 and b = 2 mu_r/sigma_r^2 + 2 mu_s/sigma_s^2.  Shifts d of
+    shape (B, 1, 1) give the B matrices as one B x R x R array.
     """
     a1, m1, s1, w1, f1 = cols[:, :, None]
     a2, m2, s2, w2, f2 = cols[:, None, :]
@@ -377,19 +424,27 @@ def _gram(cols: np.ndarray, d: float = 0.0) -> np.ndarray:
     return 0.5 * a1 * a2 * np.sqrt(math.pi / a) * gauss * waves
 
 
+_SHIFT_BLOCK = 16
+
+
 def displaced_overlaps(source, shifts) -> np.ndarray:
     """2 pi hbar int int W(x,p) W(x-dx, p-dp) dx dp for each (dx, dp) in shifts,
-    exact over the whole plane: with W = X P^T it is sum(G_x * G_p), the Gram
-    matrices (_gram) of the x and p columns against their shifted copies."""
-    cols_x, cols_p = _columns(source)
+    exact over the whole plane: with W = X_b C P_b^T it is
+    sum(G_x * (C G_p C^T)), G_x and G_p the Gram matrices (_gram) of the x
+    and p basis columns against their shifted copies.  _SHIFT_BLOCK shifts
+    are taken at a time, so temporaries stay O(block D^2)."""
+    basis_x, basis_p, coeffs = _basis(source)
+    shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
     # a shift along one axis leaves the other axis's Gram matrix unchanged
-    gram_x, gram_p = _gram(cols_x), _gram(cols_p)
-    out = []
-    for dx, dp in shifts:
-        gx = gram_x if dx == 0.0 else _gram(cols_x, dx)
-        gp = gram_p if dp == 0.0 else _gram(cols_p, dp)
-        out.append(np.sum(gx * gp))
-    return 2.0 * math.pi * source.constants.hbar * np.array(out)
+    gram_x, gram_p = _gram(basis_x), _gram(basis_p)
+    out = np.empty(len(shifts))
+    for i in range(0, len(shifts), _SHIFT_BLOCK):
+        block = shifts[i:i + _SHIFT_BLOCK, :, None, None]
+        dx, dp = block[:, 0], block[:, 1]
+        gx = _gram(basis_x, dx) if dx.any() else gram_x
+        gp = _gram(basis_p, dp) if dp.any() else gram_p
+        out[i:i + _SHIFT_BLOCK] = np.sum(gx * (coeffs @ gp @ coeffs.T), axis=(-2, -1))
+    return 2.0 * math.pi * source.constants.hbar * out
 
 
 def purity(source) -> float:

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from subzurek.states import (
     PhysicalConstants,
@@ -26,7 +29,10 @@ from subzurek.wigner import (
     MixtureSpec,
     MixtureTerm,
     PhaseSpaceGrid,
+    _basis,
+    _columns,
     _eval_columns,
+    _gram,
     _integrals,
     _pair_sum_complex,
     compass_mixture,
@@ -40,7 +46,6 @@ from subzurek.wigner import (
     overlap,
     pair_kernel,
     purity,
-    rotate_point,
     suggested_window,
     total_integral,
     wigner_bound,
@@ -171,7 +176,7 @@ class TestMixture:
         for _ in range(40):
             t = rng.uniform(-14, 14)
             for x, p in ((t, 0.0), (0.0, t), (0.1 * t / 14, t)):
-                xr, pr = rotate_point(x, p)
+                xr, pr = -p, x
                 dev = abs(eval_wigner(mix, x, p) - eval_wigner(mix, xr, pr))
                 assert dev <= 10 * leakage
 
@@ -180,15 +185,8 @@ class TestMixture:
         # p -> -p, so the two-term mixture is genuinely asymmetric there
         mix = cross_state(fig2a_state())
         a = eval_wigner(mix, 3.0, 0.26)
-        b = eval_wigner(mix, *rotate_point(3.0, 0.26))
+        b = eval_wigner(mix, -0.26, 3.0)
         assert abs(a - b) > 0.1
-
-    def test_quarter_turn_involution(self):
-        pt = (1.234, -5.678)
-        out = pt
-        for _ in range(4):
-            out = rotate_point(*out)
-        assert out == pt
 
     def test_cross_state_shows_four_arms(self):
         # Gaussian spots on both axes at the component distance
@@ -207,7 +205,7 @@ def pair_sum_grid(source, window):
     terms = source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),)
     return sum(
         t.weight * _pair_sum_complex(
-            t.state, *(rotate_point(X, P) if t.rotation == QUARTER_TURN else (X, P))
+            t.state, *((-P, X) if t.rotation == QUARTER_TURN else (X, P))
         ).real
         for t in terms
     )
@@ -230,6 +228,8 @@ class TestEvalGrid:
     @pytest.mark.parametrize("source_builder", [
         lambda: fig2a_state(),
         lambda: cross_state(fig2a_state()),
+        lambda: generic_state(),
+        lambda: cross_state(generic_state()),
     ])
     def test_factored_matches_pair_sum(self, source_builder):
         source = source_builder()
@@ -381,6 +381,117 @@ class TestOverlap:
             overlap(ga, gb, CONST)
 
 
+def gram_pair_sum(source, shifts):
+    """2 pi hbar sum(G_x * G_p) per shift over the ungrouped R x R Gram pair
+    of the _columns table, one entry per column pair."""
+    cols_x, cols_p = _columns(source)
+    return 2.0 * math.pi * source.constants.hbar * np.array(
+        [np.sum(_gram(cols_x, dx) * _gram(cols_p, dp)) for dx, dp in shifts]
+    )
+
+
+def generic_state():
+    # equally spaced, so columns of one separation share (mu, sigma, omega);
+    # both coefficient parts nonzero and of both signs, so their phases do not
+    # agree mod pi and the columns must stay apart
+    return StateSpec(
+        centers=[-3.0, -1.5, 0.0, 1.5, 3.0],
+        coeffs=[0.3 + 0.7j, -1.1 + 0.2j, 0.5 - 0.5j, -2.0 - 0.1j, 0.4 + 0.9j],
+        xi=0.4,
+        constants=CONST,
+    )
+
+
+def preset_source(name, kind):
+    state = resolve_scenario(argparse.Namespace(preset=name)).build_state()
+    return cross_state(state) if kind == "cross" else state
+
+
+class TestBasis:
+    """The grouped basis W = X_b C P_b^T against the ungrouped column table."""
+
+    SHIFTS = [(0.0, 0.0)] + [(t, 0.0) for t in np.linspace(0.1, 2.5, 20)] + \
+        [(0.0, t) for t in np.linspace(0.1, 2.5, 20)] + [(0.7 * t, -0.4 * t) for t in np.linspace(0.1, 2.5, 20)]
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "compass", "generic"])
+    @pytest.mark.parametrize("kind", ["pure", "cross"])
+    def test_overlaps_match_ungrouped_gram_sum(self, name, kind):
+        # the compass's cat is the pure case of its cross mixture
+        if name == "compass":
+            cat = compass_mixture(12.0, 1.0, CONST).terms[0].state
+            source = cross_state(cat) if kind == "cross" else cat
+        elif name == "generic":
+            source = cross_state(generic_state()) if kind == "cross" else generic_state()
+        else:
+            source = preset_source(name, kind)
+        want = gram_pair_sum(source, self.SHIFTS)
+        got = displaced_overlaps(source, self.SHIFTS)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=hst.integers(1, 5),
+        alpha=hst.floats(1.0, 12.0),
+        xi=hst.floats(0.2, 1.5),
+        spacing=hst.floats(1.0, 8.0),
+        cross=hst.booleans(),
+        dx=hst.floats(-3.0, 3.0),
+        dp=hst.floats(-3.0, 3.0),
+    )
+    def test_comb_overlaps_match_ungrouped_gram_sum(self, half, alpha, xi, spacing, cross, dx, dp):
+        # Delta x = spacing * xi stays at least one width, as in the analysis
+        # tests, where both sums stay far above their roundoff floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # odd n/2 sign-convention note
+            state = build_psi(SuperoscParams(2 * half, alpha), spacing * xi, xi)
+        source = cross_state(state) if cross else state
+        shifts = [(0.0, 0.0), (dx, dp), (dx, 0.0), (0.0, dp)]
+        want = gram_pair_sum(source, shifts)
+        assert np.max(np.abs(displaced_overlaps(source, shifts) - want)) <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+    def test_pure_comb_counts(self, n):
+        # 2m - 1 midpoints in x and m separations in p for m = n + 1 centers
+        basis_x, basis_p, coeffs = _basis(build_psi(SuperoscParams(n, 5.0), 3.0, 0.25))
+        m = n + 1
+        assert basis_x.shape[1] == 2 * m - 1
+        assert basis_p.shape[1] == m
+        assert coeffs.shape == (2 * m - 1, m)
+
+    def test_fig2b_cross_counts(self):
+        source = preset_source("fig2b", "cross")
+        basis_x, basis_p, _ = _basis(source)
+        assert _columns(source)[0].shape[1] == 182
+        assert (basis_x.shape[1], basis_p.shape[1]) == (38, 38)
+
+    def test_generic_phases_do_not_merge(self):
+        # the p columns of one separation k - j share (mu, sigma, omega), and
+        # their phases arg(c_j conj c_k) differ mod pi, so each keeps its own
+        # basis column; the x columns all have phi = 0 and group by midpoint
+        state = generic_state()
+        c = state.coeffs
+        basis_x, basis_p, _ = _basis(state)
+        for sep in range(1, 5):
+            phases = np.mod(np.angle(c[:-sep] * np.conj(c[sep:])), math.pi)
+            assert np.unique(phases).size == phases.size
+            assert np.count_nonzero(basis_p[3] == 1.5 * sep) == 5 - sep
+        assert basis_x.shape[1] == 9
+
+    def test_scan_memory_is_bounded_by_block(self):
+        # the n=32, alpha=24 cross has D = 98 basis columns a side; shifts in
+        # blocks keep temporaries at block * D^2, where all 161 at once or
+        # the ungrouped 1122 x 1122 Gram pair take several times this bound
+        source = cross_state(build_psi(SuperoscParams(32, 24.0), 3.0, 0.25))
+        shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
+        tracemalloc.start()
+        try:
+            displaced_overlaps(source, shifts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+
 def mp_pair_sum(source, x, p):
     """(W, S) at one point: the pair sum over the float centers and
     coefficients at 60 digits, and S the sum of its absolute pair terms."""
@@ -388,7 +499,7 @@ def mp_pair_sum(source, x, p):
     with mpmath.workdps(60):
         for t in source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),):
             st = t.state
-            xt, pt = rotate_point(x, p) if t.rotation == QUARTER_TURN else (x, p)
+            xt, pt = (-p, x) if t.rotation == QUARTER_TURN else (x, p)
             xt, pt = mpmath.mpf(xt), mpmath.mpf(pt)
             xi, hbar = mpmath.mpf(st.xi), mpmath.mpf(st.constants.hbar)
             scale = mpmath.mpf(t.weight) * mpmath.exp(-(pt * xi / hbar) ** 2) / (mpmath.pi * hbar)
