@@ -19,11 +19,15 @@ atomic (temp + rename) and byte-deterministic.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 undersampled grid forced without
 --allow-undersampled, 4 analysis failure, 5 validation gate failure.
+
+main builds its parser once per process, on its first call, and reuses it;
+build_parser returns a new one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -408,7 +412,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     scale = analysis.last_half_crossing(ts, ov)
     prefix = args.out or (args.preset or "sensitivity")
     header = [
-        f"subzurek sensitivity {scenario.describe()} direction={args.direction} "
+        f"subzurek sensitivity {scenario.describe()} source={args.source} direction={args.direction} "
         f"half_overlap_displacement={scale:.17g}"
     ]
     csv = export.cut_to_csv(ts, ov, "delta", header, value_label="overlap")
@@ -472,8 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser for main, built on main's first call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:

@@ -424,26 +424,31 @@ def _gram(cols: np.ndarray, d=0.0) -> np.ndarray:
     return 0.5 * a1 * a2 * np.sqrt(math.pi / a) * gauss * waves
 
 
-_SHIFT_BLOCK = 16
+# Gram elements per block of shifts: the n=32, alpha=24 cross (D = 98) takes
+# 13 shifts a block, a comb with D <= 13 takes 775 or more
+_SHIFT_ELEMENTS = 1 << 17
 
 
 def displaced_overlaps(source, shifts) -> np.ndarray:
     """2 pi hbar int int W(x,p) W(x-dx, p-dp) dx dp for each (dx, dp) in shifts,
     exact over the whole plane: with W = X_b C P_b^T it is
     sum(G_x * (C G_p C^T)), G_x and G_p the Gram matrices (_gram) of the x
-    and p basis columns against their shifted copies.  _SHIFT_BLOCK shifts
-    are taken at a time, so temporaries stay O(block D^2)."""
+    and p basis columns against their shifted copies.  Shifts are taken in
+    blocks of _SHIFT_ELEMENTS // max(D_x, D_p)^2, so temporaries stay
+    O(_SHIFT_ELEMENTS) whatever the number of shifts, and a shift's value does
+    not depend on the block it lands in."""
     basis_x, basis_p, coeffs = _basis(source)
     shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
+    per_block = max(1, _SHIFT_ELEMENTS // max(coeffs.shape) ** 2)
     # a shift along one axis leaves the other axis's Gram matrix unchanged
     gram_x, gram_p = _gram(basis_x), _gram(basis_p)
     out = np.empty(len(shifts))
-    for i in range(0, len(shifts), _SHIFT_BLOCK):
-        block = shifts[i:i + _SHIFT_BLOCK, :, None, None]
+    for i in range(0, len(shifts), per_block):
+        block = shifts[i:i + per_block, :, None, None]
         dx, dp = block[:, 0], block[:, 1]
         gx = _gram(basis_x, dx) if dx.any() else gram_x
         gp = _gram(basis_p, dp) if dp.any() else gram_p
-        out[i:i + _SHIFT_BLOCK] = np.sum(gx * (coeffs @ gp @ coeffs.T), axis=(-2, -1))
+        out[i:i + per_block] = np.sum(gx * (coeffs @ gp @ coeffs.T), axis=(-2, -1))
     return 2.0 * math.pi * source.constants.hbar * out
 
 

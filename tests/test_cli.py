@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import subzurek
-from subzurek import oracle, wigner
+from subzurek import cli, oracle, wigner
 from subzurek.cli import (
     EXIT_ANALYSIS,
     EXIT_BAD_PARAMS,
@@ -367,6 +367,18 @@ class TestSensitivity:
         assert "Traceback" not in err
         assert not (tmp_path / "s_sensitivity.csv").exists()
 
+    @pytest.mark.parametrize("args, source", [
+        # a custom scenario has no cross default, fig2a's default is the cross
+        (["--n", "4", "--alpha", "6", "--xi", "1", "--delta-x", "6", "--source", "cross"], "cross"),
+        (["--preset", "fig2a", "--source", "pure"], "pure"),
+    ])
+    def test_header_names_the_scanned_source(self, args, source, tmp_path, monkeypatch):
+        code = run(["sensitivity"] + args + ["--direction", "x", "--steps", "9", "--out", "s"],
+                   tmp_path, monkeypatch)
+        assert code == EXIT_OK
+        header = (tmp_path / "s_sensitivity.csv").read_text().split("\n")[0]
+        assert f" source={source} direction=x half_overlap_displacement=" in header
+
 
 SENSITIVITY = ["sensitivity", "--preset", "cat", "--out", "s"]
 WIGNER = ["wigner", "--preset", "cat", "--out", "w"]
@@ -473,6 +485,43 @@ class TestConfigFile:
         assert code == EXIT_UNDERSAMPLED
         assert "17 x-samples" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("direction = x\n")
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config = {cfg}\n")
+    calls = [
+        (SENSITIVITY + ["--steps=many"], EXIT_BAD_PARAMS),
+        (SENSITIVITY + ["--config", str(cfg)], EXIT_OK),
+        (SENSITIVITY + ["--config", str(nested)], EXIT_BAD_PARAMS),
+        (UNDERSAMPLED + ["--allow-undersampled"], EXIT_OK),
+        (UNDERSAMPLED, EXIT_UNDERSAMPLED),
+        (["validate", "--preset", "cat", "--points", "3"], EXIT_OK),
+        (["validate", "--preset", "cat"], EXIT_OK),
+    ]
+
+    def outcome(argv, workdir):
+        workdir.mkdir()
+        code = exit_code(argv, workdir, monkeypatch)
+        out, err = capsys.readouterr()
+        return code, out, err, {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    reused = [outcome(argv, tmp_path / f"reused{i}") for i, (argv, _) in enumerate(calls)]
+    assert len(builds) == 1
+    assert [r[0] for r in reused] == [code for _, code in calls]
+    for i, (argv, _) in enumerate(calls):
+        cli._parser.cache_clear()
+        assert outcome(argv, tmp_path / f"fresh{i}") == reused[i]
 
 
 def test_cli_import_loads_neither_mpmath_nor_a_thread_pool():

@@ -29,6 +29,7 @@ from subzurek.wigner import (
     MixtureSpec,
     MixtureTerm,
     PhaseSpaceGrid,
+    _SHIFT_ELEMENTS,
     _basis,
     _columns,
     _eval_columns,
@@ -477,19 +478,42 @@ class TestBasis:
             assert np.count_nonzero(basis_p[3] == 1.5 * sep) == 5 - sep
         assert basis_x.shape[1] == 9
 
-    def test_scan_memory_is_bounded_by_block(self):
-        # the n=32, alpha=24 cross has D = 98 basis columns a side; shifts in
-        # blocks keep temporaries at block * D^2, where all 161 at once or
-        # the ungrouped 1122 x 1122 Gram pair take several times this bound
-        source = cross_state(build_psi(SuperoscParams(32, 24.0), 3.0, 0.25))
-        shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
+    @staticmethod
+    def _scan_peak(source, shifts):
         tracemalloc.start()
         try:
             displaced_overlaps(source, shifts)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+
+    def test_scan_memory_is_bounded_by_block(self):
+        # the n=32, alpha=24 cross has D = 98 basis columns a side; blocks of
+        # _SHIFT_ELEMENTS Gram elements (13 shifts) bound the temporaries,
+        # where all 161 at once or the ungrouped 1122 x 1122 Gram pair take
+        # several times this bound
+        source = cross_state(build_psi(SuperoscParams(32, 24.0), 3.0, 0.25))
+        shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
+        assert self._scan_peak(source, shifts) <= 16 * 2**20
+
+    def test_scan_memory_does_not_grow_with_steps(self):
+        # the compass has D = 4, so a block holds 8192 shifts; all 100 001 at
+        # once would take 12.8 MB for each of _gram's temporaries
+        source = cross_state(compass_mixture(12.0, 1.0, CONST).terms[0].state)
+        shifts = np.repeat(np.linspace(0.0, 2.5, 100_001)[:, None], 2, axis=1)
+        assert self._scan_peak(source, shifts) <= 16 * 2**20
+
+    @pytest.mark.parametrize("name, several_blocks", [("fig2a", False), ("n32", True)])
+    def test_shift_value_does_not_depend_on_its_block(self, name, several_blocks):
+        if name == "fig2a":
+            source = preset_source("fig2a", "cross")
+        else:
+            source = cross_state(build_psi(SuperoscParams(32, 24.0), 3.0, 0.25))
+        shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
+        block = _SHIFT_ELEMENTS // max(_basis(source)[2].shape) ** 2
+        assert (block < len(shifts)) == several_blocks
+        one_by_one = np.concatenate([displaced_overlaps(source, [s]) for s in shifts])
+        assert np.array_equal(displaced_overlaps(source, shifts), one_by_one)
 
 
 def mp_pair_sum(source, x, p):
