@@ -7,8 +7,8 @@ files.
 
 A grid export is a stream of chunks that atomic_write_chunks writes into the
 temp file one at a time (grid_csv_chunks, grid_pgm_chunks; the CLI writes
-these), so no whole-file copy is held: a 1536^2 grid peaks at about 4.5 MB of
-Python allocations as CSV (8 MB with the helper thread) and 2 MB as 16-bit
+these), so no whole-file copy is held: a 1536^2 grid peaks at about 3.5 MB of
+Python allocations as CSV (6 MB with the helper thread) and 2 MB as 16-bit
 PGM.  grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into
 one object for library callers; the CSV collectors allocate one buffer at
 _MAX_TEXT bytes per value (the longest %.17g text and its separator) and cut
@@ -17,26 +17,39 @@ it to length at the end.
 CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
 values: each value's 17 significant digits come from an exact double-double
 product with a table of powers of ten.  Its text is built in a 32-byte
-record of four uint64 words (sign, "0.000" prefix, lead digit and point;
-digits 2-9; digits 10-17; exponent and separator), each word made for the
-whole block from small tables.  One AND with a keep mask per (sign, %g
-layout, digits shown) zeroes the bytes "%.17g" does not write, and a
-boolean mask of the nonzero bytes packs the rest.  Only nan, +-inf and
-values within 1e-9 of a rounding tie are formatted one by one with
-"%.17g".  Every whole-block step is a numpy call that releases the GIL, so
-a helper thread's blocks overlap the caller's.  Measured on the four
-Fig. 1-2 grids on a 2-core x86 VM: bytes.translate packs with less CPU
-(1.50 against 1.76 s on one thread) but holds the GIL, so on two threads
-it took 1.13 s of wall time against 0.95 s.  np.compress builds an int64
-index per kept byte, 2.8 MB a block; its two threads took 1.98 s against
-1.05 s under glibc's default malloc settings, and 1.08 against 0.98 s with
-the mmap and trim thresholds fixed at 32 and 64 MiB.
+record of four uint64 words, laid out so that the bytes "%.17g" writes for a
+value touch each other: the sign, the "0." or "0.000" prefix and the lead
+digit right-aligned in word 0 (the point after the lead), digits 2-17 in
+words 1 and 2, and the exponent and separator left-aligned in word 3.  Words
+0 and 3 come from tables indexed by the decimal exponent, words 1 and 2 from
+a table of four-digit groups.  One AND with a keep mask per (%g layout,
+digits shown) zeroes the point and the trailing zeros "%.17g" drops, and a
+boolean mask of the nonzero bytes packs the rest.  The pack copies each run
+of nonzero bytes on its own, so its time follows the runs as well as the
+bytes: a value with 17 significant digits is one run, and the Fig. 1-2 grids
+average 1.10 runs a value (2.4-2.6 when the sign, the prefix, the point and
+the exponent sat apart).  Only nan, +-inf and values within 1e-9 of a
+rounding tie outside 1e-6 <= |v| < 1e17 are formatted one by one with
+"%.17g"; inside that range the scaled value is exact, and a tie rounds half
+to even in the block.  Each formatting thread owns a _Workspace of
+block-sized arrays that every step writes into in place, so a block
+allocates only its text and a few index arrays.  Two packs that hold the
+GIL or build an index per byte were measured on the four grids with the
+earlier record layout (2-core x86 VM): bytes.translate took 1.13 s of wall
+time on two threads against 0.95 s, and np.compress 1.98 s against 1.05 s
+under glibc's default malloc settings.
 
 When the process may use two CPUs and the array spans two blocks, one
-helper thread formats every other block into its own record and hands each
+helper thread formats every other block in its own workspace and hands each
 block's text over through a one-slot handoff, so at most two blocks of text
 are alive; the chunks come out in order, and their bytes are those of a
-per-value "%.17g" join, with or without the helper.
+per-value "%.17g" join, with or without the helper.  Most block-wide steps
+release the GIL, but the pack does not, and a block is a few dozen short
+numpy calls, so the helper's gain is small and follows the load of the
+machine: on a 2-core x86 VM shared with other tenants, eight sets of 9-11
+alternating runs streamed the four Fig. 1-2 grids on two threads in 0.47-0.65
+s against 0.59-0.70 s on one, from 21% faster to 10% slower (malloc's mmap
+and trim thresholds at 32 and 64 MiB).
 
 A PGM's mapped range is found first without a copy of the grid (logabs
 takes the extremes block by block), then blocks of _PGM_ROWS rows are
@@ -112,11 +125,14 @@ def atomic_write_text(path: str, text: str) -> None:
 # and 10^k tabulated as (H + L) 2^E, H in [0.5, 1) and L the next 53 bits,
 # |v| 10^k = (m H + m L) 2^(e+E); Dekker's split gives m H exactly as a
 # double-double, so the scaled value is good to about 2^-104 of itself, far
-# inside the 1e-9 guard that sends a near-tie (exact ties round half to even)
-# to the per-value "%.17g", as it does nan and +-inf.
+# inside the 1e-9 guard that sends a near-tie to the per-value "%.17g", as it
+# does nan and +-inf.  For 0 <= k <= _K_EXACT, 10^k is a double (L = 0) and
+# the scaled value and its fraction are exact, so there a fraction of 0.5 is
+# a true tie and rounds half to even in the block, and no guard is needed.
 
 _K_MIN, _K_MAX = -300, 350  # 10^k for the 16 - X of every float64, with room
 _Q_BITS = 120  # bits of 10^k kept when tabulating H and L
+_K_EXACT = 22  # 5^22 < 2^53 < 5^23
 
 
 @functools.cache
@@ -136,42 +152,24 @@ def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(h), np.array(lo), np.array(ex, np.int32)
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split of a double into two 26-bit halves, a = hi + lo."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _scaled(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Floor (int64) and fraction of m 2^e 10^(16-x)."""
-    h, lo, ex = _pow10()
-    k = 16 - _K_MIN - x
-    hk = h.take(k)
-    top = m * hk
-    mh, ml = _split(m)
-    hh, hl = _split(hk)
-    err = ((mh * hh - top) + mh * hl + ml * hh) + ml * hl
-    shift = e + ex.take(k)  # int32: ldexp is much slower on int64
-    hi = np.ldexp(top, shift)
-    rest = np.ldexp(err + m * lo.take(k), shift)
-    whole = np.floor(hi)
-    rest += hi - whole
-    below = np.floor(rest)
-    return whole.astype(np.int64) + below.astype(np.int64), rest - below
-
-
-# A value's record is 32 bytes, four little-endian uint64 words:
-#   word 0: the sign, the "0.000" of 1e-4 <= |v| < 1, the lead digit, a point
+# A value's record is 32 bytes, four little-endian uint64 words, laid out so
+# that the bytes "%.17g" writes for a value touch each other:
+#   word 0: the sign and the "0." or "0.000" prefix, right-aligned against
+#           the lead digit; the lead sits at byte 7 in the fixed forms of
+#           1e-4 <= |v| < 1, which write no point after it, and otherwise at
+#           byte 6 with the point in byte 7
 #   word 1: digits 2-9        word 2: digits 10-17
-#   word 3: "e", the exponent's sign and three digits, the separator, 2 zeros
-# Each word is built for the whole block from small tables, then ANDed with
-# the keep mask of the value's (sign, layout, significant digits), which
-# zeroes every byte %g does not write; packing the nonzero bytes gives the
-# text.  In the fixed form with the point among the digits (1 <= X <= 15 and
-# more than X + 1 digits) the X digits after the lead move down one byte
-# over the point's slot and the point goes after them.
-_LEAD, _EXP, _SEP, _WIDTH = 6, 24, 29, 32
+#   word 3: the exponent text and separator, left-aligned ("e-05,",
+#           "e+100,"), or the separator alone in the fixed forms; zeros after
+# Words 0 and 3 come from tables indexed by X (and the sign and lead digit);
+# words 1 and 2 from four-digit groups.  One AND with a keep mask per (%g
+# layout, digits shown) zeroes the point and the trailing zeros %g drops, and
+# word 3 needs none, so a value with 17 significant digits is one run of
+# nonzero bytes, and packing the nonzero bytes gives the text.  In the fixed
+# form with the point among the digits (1 <= X <= 15 and more than X + 1
+# digits) the X digits after the lead move down one byte over the point's
+# slot and the point goes after them.
+_LEAD, _WIDTH = 6, 32
 # layouts: fixed for X = -4..16 (X + 4), then e+XX and e+XXX
 _LAYOUTS = 23
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of the nonzero float64s
@@ -188,44 +186,55 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     bytes), and their trailing-zero counts (4 for 0)."""
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     chars = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
-    zeros = np.cumprod(chars[:, ::-1] == ord("0"), axis=1, dtype=np.int8)
-    zeros = zeros.sum(axis=1, dtype=np.int8)
+    zeros = np.cumprod(chars[:, ::-1] == ord("0"), axis=1).sum(axis=1)
     return chars.view(np.uint32).ravel().astype(np.uint64), zeros
 
 
 @functools.cache
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Indexed by X - _X_MIN: word 3 ("e-324," ... "e+308,") and the layout's
-    part of the keep-table key, 17 times the layout."""
+def _lead_words() -> np.ndarray:
+    """Word 0, indexed by 20 (X - _X_MIN) + 10 negative + lead digit."""
+    # one row per class of X: the fixed forms of X = -1..-4, then the rest
+    rows = [[(sign + b"0." + b"0" * zeros + b"%d" % d).rjust(8, b"\0")
+             for sign in (b"", b"-") for d in range(10)] for zeros in range(4)]
+    rows.append([(sign + b"%d." % d).rjust(8, b"\0") for sign in (b"", b"-") for d in range(10)])
+    table = np.frombuffer(b"".join(b"".join(r) for r in rows), np.uint64).reshape(5, 20)
     x = np.arange(_X_MIN, _X_MAX + 1)
-    words = b"".join(b"e%c%03d,\0\0" % (ord("-") if k < 0 else ord("+"), abs(k)) for k in x.tolist())
+    return table.take(np.where((x >= -4) & (x <= -1), -1 - x, 4), axis=0).ravel()
+
+
+@functools.cache
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indexed by X - _X_MIN: word 3 with the separator "," and with "\\n"
+    ("e-324," ... ",", "e+308,"), and 17 times the layout plus 16, the
+    layout's part of the keep-table key."""
+    words = [b"".join((b"%c" % sep if -4 <= k <= 16 else b"e%+03d%c" % (k, sep)).ljust(8, b"\0")
+                      for k in range(_X_MIN, _X_MAX + 1)) for sep in b",\n"]
+    x = np.arange(_X_MIN, _X_MAX + 1)
     layout = np.where((x < -4) | (x > 16), 21 + (np.abs(x) >= 100), x + 4)
-    return np.frombuffer(words, np.uint64), 17 * layout
+    return np.frombuffer(words[0], np.uint64), np.frombuffer(words[1], np.uint64), 17 * layout + 16
 
 
 @functools.cache
 def _keep_table() -> tuple[np.ndarray, np.ndarray]:
-    """The keep masks (uint64, 4 words) of each (negative, layout, s) key, s
-    the significant digits, and whether the key's point sits among the digits."""
-    neg, layout, s = (a.reshape(-1, 1) for a in np.indices((2, _LAYOUTS, 17)))
+    """The keep masks (uint64, 4 words, word 3 all ones) of each (layout, s)
+    key, s the significant digits, and whether the key's point sits among the
+    digits."""
+    layout, s = (a.reshape(-1, 1) for a in np.indices((_LAYOUTS, 17)))
     s = s + 1
     x = layout - 4
     fixed = layout <= 20
     pos = np.arange(_WIDTH)
-    # the digit each byte holds: the lead at _LEAD, digit k >= 2 at _LEAD + k
-    digit = np.where(pos == _LEAD, 1, np.where((pos > _LEAD + 1) & (pos < _EXP), pos - _LEAD, 0))
+    # digit k >= 2 sits at _LEAD + k
+    digit = np.where((pos > _LEAD + 1) & (pos < 3 * 8), pos - _LEAD, 0)
     # fixed form shows every integer digit
     shown = np.where(fixed & (x >= 0), np.maximum(s, x + 1), s)
     inside = fixed & (x >= 1) & (s > x + 1)
     point = (s > 1) & (~fixed | (x == 0) | inside)
-    exp = (pos == _EXP) | (pos == _EXP + 1) | (pos >= _EXP + 3 - (layout == 22)) & (pos < _SEP)
     keep = (
-        (pos == 0) & (neg == 1)
-        | (pos >= 1) & (pos < _LEAD) & fixed & (pos < 2 - x) & (x < 0)
+        (pos <= _LEAD)  # word 0 holds no byte %g does not write
+        | (pos == _LEAD + 1) & (point | fixed & (x < 0))  # the point, or a fixed lead
         | (digit > 0) & (digit <= shown)
-        | (pos == _LEAD + 1) & point
-        | exp & ~fixed
-        | (pos == _SEP)
+        | (pos >= 3 * 8)  # nor does word 3
     )
     return _word_masks(keep), inside.ravel()
 
@@ -242,8 +251,80 @@ def _point_moves() -> np.ndarray:
     return np.stack([_word_masks(moved), _word_masks(~moved & ~point), dot]).transpose(0, 2, 1)
 
 
-_WORD0 = int.from_bytes(b"-0.0000.", "little")  # lead digit 0
-_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 8 * (_SEP - _EXP))
+class _Workspace:
+    """The block-sized scratch arrays of one formatting thread: every
+    temporary of _format_values and _scaled is written into these in place,
+    block after block."""
+
+    def __init__(self, n: int):
+        self.rec = np.empty((n, _WIDTH // 8), np.uint64)  # the value records
+        self.floats = np.empty((7, n))
+        self.ints = np.empty((4, n), np.int64)
+        self.int32 = np.empty((2, n), np.int32)
+        self.words = np.empty((4, n), np.uint64)
+        self.flags = np.empty((2, n), bool)
+        # the digit split, then the pack's mask of kept bytes, reuse the
+        # float temporaries' memory: no float is alive after the rounding
+        self.groups = self.floats[:6].view(np.int64).reshape(3, 2, n)
+        self.mask = self.floats.reshape(-1).view(bool)[: n * _WIDTH]
+
+    def cut(self, n: int) -> _Workspace:
+        """The workspace of the first n values, views of this one's arrays."""
+        if n == len(self.rec):
+            return self
+        ws = object.__new__(_Workspace)
+        ws.rec, ws.mask = self.rec[:n], self.mask[: n * _WIDTH]
+        for name in ("floats", "ints", "groups", "int32", "words", "flags"):
+            setattr(ws, name, getattr(self, name)[..., :n])
+        return ws
+
+
+def _split(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """Dekker's split of a double into two 26-bit halves, a = hi + lo."""
+    np.multiply(a, 134217729.0, out=hi)  # c = (2^27 + 1) a
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)  # c - (c - a)
+    np.subtract(a, hi, out=lo)
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Floor (int64) and fraction of m 2^e 10^(k + _K_MIN), in ws.ints[1] and
+    ws.floats[6]; m, e and k lie outside what it writes: ws.floats[1:],
+    ws.ints[1:3] and ws.int32[1]."""
+    h, lo, ex = _pow10()
+    top, mh, ml, hh, hl, rest = ws.floats[1:]
+    whole, below = ws.ints[1:3]
+    shift = ws.int32[1]
+    hk = h.take(k, out=rest, mode="clip")
+    np.multiply(m, hk, out=top)
+    _split(m, mh, ml)
+    _split(hk, hh, hl)
+    # err = ((mh hh - top) + mh hl + ml hh) + ml hl, into rest
+    np.multiply(mh, hh, out=rest)
+    rest -= top
+    rest += np.multiply(mh, hl, out=mh)
+    rest += np.multiply(ml, hh, out=hh)
+    rest += np.multiply(ml, hl, out=hl)
+    np.add(e, ex.take(k, out=shift, mode="clip"), out=shift)  # int32: ldexp is much slower on int64
+    np.ldexp(top, shift, out=top)  # hi
+    rest += np.multiply(m, lo.take(k, out=mh, mode="clip"), out=mh)
+    np.ldexp(rest, shift, out=rest)
+    np.floor(top, out=hh)  # whole
+    rest += np.subtract(top, hh, out=top)
+    np.floor(rest, out=top)  # below
+    np.copyto(whole, hh, casting="unsafe")
+    np.copyto(below, top, casting="unsafe")
+    whole += below
+    np.subtract(rest, top, out=rest)
+    return whole, rest
+
+
+def _trailing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Trailing zeros of digits 2-17 from their four-digit groups, (2, n)
+    each for digits 2-9 and 10-17: a zero group passes the count on."""
+    zeros = _digit_tables()[1]
+    z = zeros.take(right) + (right == 0) * zeros.take(left)
+    return z[1] + (z[1] == 8) * z[0]
 
 
 def _one_by_one(values: np.ndarray) -> list[bytes]:
@@ -252,74 +333,108 @@ def _one_by_one(values: np.ndarray) -> list[bytes]:
     return [b"%.17g" % v for v in values.tolist()]
 
 
-def _format_values(v: np.ndarray, rec: np.ndarray, ncols: int) -> np.ndarray:
+def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
     """The %.17g text (uint8) of each value of v, rows of ncols values, each
-    value followed by ',' or, at a row's end, '\\n'.  rec is an (n, 4) uint64
-    workspace."""
+    value followed by ',' or, at a row's end, '\\n'.  ws is a _Workspace of
+    at least v.size values."""
     n = v.size
-    rec = rec[:n]
-    a = np.abs(v)
-    finite = np.isfinite(v)
-    regular = finite & (a > 0.0)
-    a = np.where(regular, a, 1.0)
-    m, e = np.frexp(a)
-    x = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled(m, e, x)
+    ws = ws.cut(n)
+    a, est = ws.floats[:2]
+    k, _, head, z = ws.ints
+    e = ws.int32[0]
+    flag, neg = ws.flags
+    np.abs(v, out=a)
+    irregular = nonfinite = None
+    if not (a.min() > 0.0 and a.max() < np.inf):  # a nan fails both
+        finite = np.isfinite(v)
+        nonfinite = np.flatnonzero(~finite)
+        irregular = np.flatnonzero(~(finite & (a > 0.0)))
+        a[irregular] = 1.0
+    np.log10(a, out=est)
+    np.floor(est, out=est)  # X
+    np.subtract(16 - _K_MIN, est, out=est)
+    np.copyto(k, est, casting="unsafe")  # 16 - X - _K_MIN, the pow10 index
+    m = a
+    np.frexp(a, out=(m, e))
+    whole, frac = _scaled(m, e, k, ws)
     # the log10 estimate of X can be one off next to a power of ten
-    low, high = np.flatnonzero(whole < 10**16), np.flatnonzero(whole >= 10**17)
-    for idx, step in ((low, -1), (high, 1)):
-        if idx.size:
-            x[idx] += step
-            whole[idx], frac[idx] = _scaled(m[idx], e[idx], x[idx])
-    tie = np.abs(frac - 0.5) < 1e-9
-    digits = whole + (frac > 0.5)
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    x += carry
-    digits = np.where(regular, digits, 0)  # +-0 prints as one digit, X = 0
-    at = np.where(regular, x, 0) - _X_MIN  # the exponent tables' index
+    if whole.min() < 10**16 or whole.max() >= 10**17:
+        fixes = ((np.flatnonzero(whole < 10**16), 1), (np.flatnonzero(whole >= 10**17), -1))
+        for idx, step in fixes:
+            if idx.size:
+                k[idx] += step
+                whole[idx], frac[idx] = _scaled(m[idx], e[idx], k[idx], _Workspace(idx.size))
+    np.subtract(frac, 0.5, out=est)
+    np.abs(est, out=est)
+    digits = whole
+    digits += np.greater(frac, 0.5, out=flag)
+    fallback = np.empty(0, np.intp)
+    if est.min() < 1e-9:
+        # a tie where the scaled value is exact rounds half to even; the
+        # other near-ties are formatted one by one
+        near = np.flatnonzero(est < 1e-9)
+        power = k.take(near) + _K_MIN  # 16 - X
+        exact = (power >= 0) & (power <= _K_EXACT)
+        ties = near[exact & (frac.take(near) == 0.5)]
+        digits[ties] += digits[ties] & 1
+        fallback = near[~exact]
+    if digits.max() == 10**17:
+        carry = np.flatnonzero(digits == 10**17)
+        digits[carry] = 10**16
+        k[carry] -= 1
+    if irregular is not None:
+        digits[irregular] = 0  # +-0 prints as one digit, X = 0
+        k[irregular] = 16 - _K_MIN
+        fallback = np.concatenate((nonfinite, fallback))
+    at = np.subtract(16 - _K_MIN - _X_MIN, k, out=k)  # the X tables' index
 
-    # words 0-2 as rows of w; words 1 and 2 from four-digit groups
-    four, zeros = _digit_tables()
-    head = digits // 10**8  # digits 1-9
-    groups = np.empty((2, n), np.int64)
-    groups[1] = digits - head * 10**8
-    lead = head // 10**8
-    groups[0] = head - lead * 10**8
-    left = groups // 10**4  # the first four digits of each group
-    right = groups - left * 10**4
-    w = np.empty((3, n), np.uint64)
-    np.left_shift(lead.view(np.uint64), np.uint64(8 * _LEAD), out=w[0])
-    w[0] += np.uint64(_WORD0)
-    np.left_shift(four.take(right), np.uint64(32), out=w[1:])
-    w[1:] |= four.take(left)
-    # trailing zeros of digits 2-17: a zero group passes the count on
-    z = zeros.take(right) + (right == 0) * zeros.take(left)
-    trailing = z[1] + (z[1] == 8) * z[0]
+    # words 1 and 2 from four-digit groups, word 0 from the lead digit
+    four = _digit_tables()[0]
+    groups, left, right = ws.groups
+    np.floor_divide(digits, 10**8, out=head)  # digits 1-9
+    np.subtract(digits, np.multiply(head, 10**8, out=groups[1]), out=groups[1])
+    np.floor_divide(head, 10**8, out=digits)  # the lead digit
+    np.subtract(head, np.multiply(digits, 10**8, out=groups[0]), out=groups[0])
+    np.floor_divide(groups, 10**4, out=left)  # the first four digits of each group
+    np.subtract(groups, np.multiply(left, 10**4, out=right), out=right)
+    w = ws.words
+    four.take(right, out=w[1:3], mode="clip")
+    np.left_shift(w[1:3], np.uint64(32), out=w[1:3])
+    w[1:3] |= four.take(left, out=groups.view(np.uint64), mode="clip")
+    index = np.multiply(at, 20, out=head)
+    index += digits
+    index += np.multiply(np.signbit(v, out=neg), 10, out=digits)
+    _lead_words().take(index, out=w[0], mode="clip")
 
-    words, layouts = _exponent_tables()
+    # word 3, and the keep-table key 17 layout + 16 - trailing zeros
+    separated, ended, key_base = _exponent_tables()
+    separated.take(at, out=w[3], mode="clip")
+    w[3, ncols - 1 :: ncols] = ended.take(at[ncols - 1 :: ncols])
+    trailing = _digit_tables()[1].take(right[1], out=z, mode="clip")
+    key = np.subtract(key_base.take(at, out=digits, mode="clip"), trailing, out=digits)
+    if trailing.max() == 4:  # digits 14-17 are zero: count on
+        deep = np.flatnonzero(trailing == 4)
+        key[deep] = key_base.take(at[deep]) - _trailing(left[:, deep], right[:, deep])
     keep, inside = _keep_table()
-    key = layouts.take(at) + np.signbit(v) * (_LAYOUTS * 17) + (16 - trailing)
-    moved = np.flatnonzero(inside.take(key))
-    if moved.size:
-        near = w[:, moved]
-        shifted = near >> np.uint64(8)
-        shifted[:2] |= near[1:] << np.uint64(56)
-        take, stay, point = _point_moves()[:, :, at.take(moved) + _X_MIN]
-        w[:, moved] = shifted & take | near & stay | point
-    keep.take(key, axis=0, out=rec, mode="clip")
-    exponent = words.take(at)
-    exponent[ncols - 1 :: ncols] ^= _NEWLINE
-    for k, word in enumerate((*w, exponent)):
-        rec[:, k] &= word
+    if at.max() > -_X_MIN:  # X >= 1: the point may sit among the digits
+        moved = np.flatnonzero(inside.take(key))
+        if moved.size:
+            held = w[:3, moved]
+            shifted = held >> np.uint64(8)
+            shifted[:2] |= held[1:] << np.uint64(56)
+            take, stay, point = _point_moves()[:, :, at.take(moved) + _X_MIN]
+            w[:3, moved] = shifted & take | held & stay | point
+    rec = keep.take(key, axis=0, out=ws.rec, mode="clip")
+    for j in range(4):
+        rec[:, j] &= w[j]
 
     chars = rec.view(np.uint8)
-    fallback = np.flatnonzero(~finite | tie)
-    for i, text in zip(fallback, _one_by_one(v.take(fallback))):
-        chars[i, :_SEP] = 0
-        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+    if fallback.size:
+        for i, text in zip(fallback, _one_by_one(v.take(fallback))):
+            chars[i] = 0
+            chars[i, : len(text) + 1] = np.frombuffer(text + (b"\n" if i % ncols == ncols - 1 else b","), np.uint8)
     chars = chars.ravel()
-    return chars[chars != 0]
+    return chars[np.not_equal(chars, 0, out=ws.mask)]
 
 
 # values per block: enough to amortize the per-block numpy calls, few enough
@@ -337,20 +452,20 @@ def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
     nrows, ncols = rows.shape
     step = max(1, _BLOCK_VALUES // ncols)
     starts = range(0, nrows, step)
-    rec = np.empty((min(step, nrows) * ncols, _WIDTH // 8), np.uint64)
+    workspace = _Workspace(min(step, nrows) * ncols)
 
-    def block(start: int, record: np.ndarray) -> np.ndarray:
-        return _format_values(rows[start : start + step].ravel(), record, ncols)
+    def block(start: int, ws: _Workspace) -> np.ndarray:
+        return _format_values(rows[start : start + step].ravel(), ws, ncols)
 
     yield head
     if len(starts) < 2 or cpu_count() < 2:
         for start in starts:
-            yield block(start, rec)
+            yield block(start, workspace)
         return
 
     # one-slot handoff: the helper starts its next block only once the caller
     # has taken the last one, so at most two blocks of text are alive
-    helper_rec, slot = np.empty_like(rec), []
+    helper_ws, slot = _Workspace(len(workspace.rec)), []
     free, full, stop = threading.Semaphore(1), threading.Semaphore(0), threading.Event()
 
     def work() -> None:
@@ -359,7 +474,7 @@ def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
             if stop.is_set():
                 return
             try:
-                slot.append(block(start, helper_rec))
+                slot.append(block(start, helper_ws))
             except BaseException as exc:
                 slot.append(exc)
                 full.release()
@@ -371,7 +486,7 @@ def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
     try:
         for i, start in enumerate(starts):
             if i % 2 == 0:
-                text = block(start, rec)
+                text = block(start, workspace)
             else:
                 full.acquire()
                 text = slot.pop()

@@ -408,25 +408,46 @@ def _gram(cols: np.ndarray, d=0.0) -> np.ndarray:
     (Omega, Phi) = (omega_r +- omega_s, phi_r +- phi_s) of the cosine product
     adds A_r A_s sqrt(pi/a) e^{-(mu_r-mu_s)^2/(sigma_r^2+sigma_s^2)}
     e^{-Omega^2/4a} cos(Phi + b Omega/2a) / 2, with a = 1/sigma_r^2 +
-    1/sigma_s^2 and b = 2 mu_r/sigma_r^2 + 2 mu_s/sigma_s^2.  Shifts d of
-    shape (B, 1, 1) give the B matrices as one B x R x R array.
+    1/sigma_s^2 and b = 2 mu_r/sigma_r^2 + 2 mu_s/sigma_s^2.  The B shifts d
+    (a scalar is one) give the B matrices as one B x R x R array.
     """
+    d = np.reshape(d, (-1, 1, 1))
     a1, m1, s1, w1, f1 = cols[:, :, None]
     a2, m2, s2, w2, f2 = cols[:, None, :]
     m2, f2 = m2 + d, f2 - w2 * d
     a = 1.0 / (s1 * s1) + 1.0 / (s2 * s2)
     b = 2.0 * m1 / (s1 * s1) + 2.0 * m2 / (s2 * s2)
-    waves = sum(
-        np.exp(-(omega * omega) / (4.0 * a)) * np.cos(phi + b * omega / (2.0 * a))
-        for omega, phi in ((w1 + w2, f1 + f2), (w1 - w2, f1 - f2))
-    )
-    gauss = np.exp(-((m1 - m2) ** 2) / (s1 * s1 + s2 * s2))
-    return 0.5 * a1 * a2 * np.sqrt(math.pi / a) * gauss * waves
+
+    # The B x R x R arrays are built in place, in the operation order of
+    # prefactor * gauss * sum(waves): b, then the waves beside it, then the
+    # product in b's place; a wave's phase Phi is added a few shifts at a time.
+    def wave(out, omega, phase):
+        np.multiply(b, omega, out=out)
+        out /= 2.0 * a
+        for j in range(0, len(out), step):
+            out[j : j + step] += phase(f1, f2[j : j + step])
+        np.cos(out, out=out)
+        out *= np.exp(-(omega * omega) / (4.0 * a))
+        return out
+
+    step = max(1, _PHASE_ELEMENTS // a.size)
+    waves = wave(np.empty_like(b), w1 + w2, np.add)
+    waves += 0.0  # sum() starts from +0, which turns a -0 into +0
+    waves += wave(b, w1 - w2, np.subtract)  # b is read for the last time
+    gauss = np.subtract(m1, m2, out=b)
+    np.square(gauss, out=gauss)
+    gauss /= -(s1 * s1 + s2 * s2)  # -(x^2) / y, as x^2 / -y is the same double
+    np.exp(gauss, out=gauss)
+    gauss *= 0.5 * a1 * a2 * np.sqrt(math.pi / a)
+    gauss *= waves
+    return gauss
 
 
 # Gram elements per block of shifts: the n=32, alpha=24 cross (D = 98) takes
 # 13 shifts a block, a comb with D <= 13 takes 775 or more
 _SHIFT_ELEMENTS = 1 << 17
+# Gram elements per chunk of a wave's phase, a sixteenth of a block
+_PHASE_ELEMENTS = _SHIFT_ELEMENTS // 16
 
 
 def displaced_overlaps(source, shifts) -> np.ndarray:
@@ -440,15 +461,18 @@ def displaced_overlaps(source, shifts) -> np.ndarray:
     basis_x, basis_p, coeffs = _basis(source)
     shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
     per_block = max(1, _SHIFT_ELEMENTS // max(coeffs.shape) ** 2)
-    # a shift along one axis leaves the other axis's Gram matrix unchanged
-    gram_x, gram_p = _gram(basis_x), _gram(basis_p)
     out = np.empty(len(shifts))
     for i in range(0, len(shifts), per_block):
         block = shifts[i:i + per_block, :, None, None]
         dx, dp = block[:, 0], block[:, 1]
-        gx = _gram(basis_x, dx) if dx.any() else gram_x
-        gp = _gram(basis_p, dp) if dp.any() else gram_p
-        out[i:i + per_block] = np.sum(gx * (coeffs @ gp @ coeffs.T), axis=(-2, -1))
+        # a block with no shift along an axis takes that axis's unshifted
+        # Gram matrix; one expression, so that no block outlives its use: at
+        # most G_x and the arrays of the _gram call that builds G_p are alive
+        out[i:i + per_block] = np.sum(
+            _gram(basis_x, dx if dx.any() else 0.0)
+            * (coeffs @ _gram(basis_p, dp if dp.any() else 0.0) @ coeffs.T),
+            axis=(-2, -1),
+        )
     return 2.0 * math.pi * source.constants.hbar * out
 
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,9 @@ class TestBlockFormatter:
 NEAR_TIES = [t for tie in (1 + 2**-17, -(1 + 3 * 2**-17))
              for t in (np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf))]
 LONGEST = -1.2345678901234567e-308
+# 3 2^-24 = 1.78813934326171875e-07 is an exact tie with X = -7, where 10^23
+# is no double, so it goes to the per-value %.17g
+ONE_BY_ONE_TIES = [3 * 2.0**-24, -3 * 2.0**-24]
 
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
@@ -234,6 +238,20 @@ class TestTwoThreads:
         seen = helper_threads(monkeypatch)
         assert formatted(rows) == per_value_join(rows)
         assert len(seen) == (cpus - 1)
+
+    def test_workspace_reuse_special_regular_ragged(self, cpus):
+        # blocks 0-1 hold every special value, 2-3 none, and block 4 is
+        # ragged: on one CPU one workspace takes all five in turn, on two the
+        # caller's takes 0, 2 and 4, so a value left in a workspace by the
+        # block before would show in the text
+        ncols = 64
+        step = _BLOCK_VALUES // ncols
+        rows = np.random.default_rng(4).standard_normal((4 * step + 7, ncols))
+        specials = np.array(SPECIAL + NEAR_TIES + ONE_BY_ONE_TIES)
+        for start in (0, step):
+            rows[start, : specials.size] = specials
+            rows[start + 1, -specials.size :] = specials  # the last at a row's end
+        assert formatted(rows) == per_value_join(rows)
 
     def test_longest_text_fills_the_buffer(self, cpus):
         rows = np.full((3 * _BLOCK_VALUES // 8 + 5, 8), LONGEST)
@@ -311,6 +329,27 @@ def key_value(neg: int, layout: int, s: int) -> float:
 KEYS = [(neg, layout, s) for neg in (0, 1) for layout in range(23) for s in range(1, 18)]
 
 
+class TestRecordLayout:
+    def test_fig2b_block_is_one_run_per_value(self):
+        # the pack copies each run of kept bytes on its own; a value with 17
+        # significant digits is one run (this block took 2.82 runs a value
+        # when the sign, the prefix, the point and the exponent sat apart)
+        from subzurek import cli
+
+        args = cli.build_parser().parse_args(["wigner", "--preset", "fig2b"])
+        scenario = cli.resolve_scenario(args)
+        source = scenario.build_source(args.source)
+        values = eval_grid(source, cli.auto_window(scenario, source)[0]).values
+        ncols = values.shape[1]
+        step = _BLOCK_VALUES // ncols
+        v = values[len(values) // 2 : len(values) // 2 + step].ravel()
+        ws = export._Workspace(v.size)
+        assert export._format_values(v, ws, ncols).tobytes() == per_value_join(v.reshape(-1, ncols))
+        kept = ws.rec.view(np.uint8).ravel() != 0
+        runs = np.count_nonzero(kept[1:] & ~kept[:-1]) + kept[0]
+        assert runs <= 1.2 * v.size
+
+
 class TestKeepTable:
     @pytest.fixture(scope="class")
     def values(self):
@@ -374,9 +413,34 @@ class TestNoPerValuePath:
         seen = one_by_one_calls(monkeypatch)
         assert formatted(rows) == per_value_join(rows)
         # a value whose binary fraction ends just past its 17th digit can be
-        # an exact tie, and ties go one by one by design
-        assert 0 < len(seen) < rows.size // 4
-        assert all(near_tie(v) for v in seen)
+        # an exact tie; for 1e-6 <= |v| < 1e17 the scaled value is exact, so
+        # ties and near-ties alike are settled in the block
+        assert seen == []
+
+    def test_exact_ties_from_1e_6_to_1e17(self, monkeypatch):
+        # q / 2^(k+1) with q odd scales by 10^k, k = 16 - X, to 5^k q / 2: a
+        # tie at every decimal exponent X = -6..15 (above 2^53 no double is
+        # one), with the doubles next to each tie
+        rng = np.random.default_rng(19)
+        ties = []
+        for x in range(-6, 16):
+            scale = 2 ** (17 - x)  # 2^(k+1)
+            lo = math.ceil(Fraction(10) ** x * scale)
+            hi = min(math.ceil(Fraction(10) ** (x + 1) * scale), 2**53)
+            q = 2 * rng.integers(lo // 2, (hi - 1) // 2, 64) + 1
+            ties.extend(np.ldexp(q.astype(float), -(17 - x)).tolist())
+        ties = np.array(ties)
+        assert all(near_tie(v) for v in ties)
+        rows = np.stack([np.nextafter(ties, 0.0), ties, -ties, np.nextafter(ties, np.inf)], axis=1)
+        seen = one_by_one_calls(monkeypatch)
+        assert formatted(rows) == per_value_join(rows)
+        assert seen == []
+
+    def test_tie_outside_the_exact_range_goes_one_by_one(self, monkeypatch):
+        rows = np.array([ONE_BY_ONE_TIES])
+        seen = one_by_one_calls(monkeypatch)
+        assert formatted(rows) == b"1.7881393432617188e-07,-1.7881393432617188e-07\n" == per_value_join(rows)
+        assert seen == ONE_BY_ONE_TIES
 
     def test_fig2c_logabs_cut(self, tmp_path, monkeypatch):
         from subzurek.cli import main

@@ -496,6 +496,15 @@ class TestBasis:
         shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
         assert self._scan_peak(source, shifts) <= 16 * 2**20
 
+    def test_fig2b_cross_diagonal_scan_holds_few_blocks(self):
+        # D = 38, so a block is 90 shifts and one 90 x 38 x 38 array 1.04 MB:
+        # G_x and _gram's two in-place arrays for G_p; with fresh temporaries
+        # for every step of the closed form it took 7.5 MB
+        source = preset_source("fig2b", "cross")
+        shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
+        displaced_overlaps(source, shifts[:1])  # the basis, outside the trace
+        assert self._scan_peak(source, shifts) <= 3.5e6
+
     def test_scan_memory_does_not_grow_with_steps(self):
         # the compass has D = 4, so a block holds 8192 shifts; all 100 001 at
         # once would take 12.8 MB for each of _gram's temporaries
