@@ -306,7 +306,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     wrote = []
     if args.format in ("csv", "both"):
         path = prefix + ".csv"
-        export.atomic_write_chunks(path, export.grid_csv_chunks(grid, header))
+        export.write_grid_csv(path, grid, header)
         wrote.append(path)
     if args.format in ("pgm", "both"):
         path = prefix + ".pgm"

@@ -1,8 +1,9 @@
 """The number of CPUs this process may run on.
 
-The CSV export and the quadrature oracle start one helper thread only when
-this is at least 2.  On one CPU a helper buys no time and its malloc arena
-stays resident (BENCH_10.json "one_cpu").
+The grid CSV writer forks one child, and the quadrature oracle starts one
+helper thread, only when this is at least 2.  On one CPU a helper buys no
+time (BENCH_10.json "one_cpu"), and a forked child would only add the cost
+of the fork and of appending its half.
 """
 
 from __future__ import annotations

@@ -6,13 +6,16 @@ survives an error or an interrupt.  Identical inputs produce byte-identical
 files.
 
 A grid export is a stream of chunks that atomic_write_chunks writes into the
-temp file one at a time (grid_csv_chunks, grid_pgm_chunks; the CLI writes
-these), so no whole-file copy is held: a 1536^2 grid peaks at about 3.5 MB of
-Python allocations as CSV (6 MB with the helper thread) and 2 MB as 16-bit
-PGM.  grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into
-one object for library callers; the CSV collectors allocate one buffer at
+temp file one at a time (grid_csv_chunks, grid_pgm_chunks), so no whole-file
+copy is held: a 1536^2 grid peaks at about 3.5 MB of Python allocations as
+CSV and 2 MB as 16-bit PGM.  The CLI writes a grid CSV through
+write_grid_csv, which may split the stream between two processes (below).
+grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into one
+object for library callers; the CSV collectors allocate one buffer at
 _MAX_TEXT bytes per value (the longest %.17g text and its separator) and cut
-it to length at the end.
+it to length at the end.  A temp file is created with O_EXCL under a random
+.tmp-export- name and mode 0666, so it gets the mode a plain open() would,
+0666 less the umask, without the umask being read.
 
 CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
 values: each value's 17 significant digits come from an exact double-double
@@ -31,39 +34,53 @@ average 1.10 runs a value (2.4-2.6 when the sign, the prefix, the point and
 the exponent sat apart).  Only nan, +-inf and values within 1e-9 of a
 rounding tie outside 1e-6 <= |v| < 1e17 are formatted one by one with
 "%.17g"; inside that range the scaled value is exact, and a tie rounds half
-to even in the block.  Each formatting thread owns a _Workspace of
-block-sized arrays that every step writes into in place, so a block
-allocates only its text and a few index arrays.  Two packs that hold the
-GIL or build an index per byte were measured on the four grids with the
-earlier record layout (2-core x86 VM): bytes.translate took 1.13 s of wall
-time on two threads against 0.95 s, and np.compress 1.98 s against 1.05 s
-under glibc's default malloc settings.
+to even in the block.  The formatter owns a _Workspace of block-sized
+arrays that every step writes into in place, so a block allocates only its
+text and a few index arrays.  Two packs that hold the GIL or build an index
+per byte were measured on the four grids with the earlier record layout
+(2-core x86 VM): bytes.translate took 1.13 s of wall time on two threads
+against 0.95 s, and np.compress 1.98 s against 1.05 s under glibc's default
+malloc settings.
 
-When the process may use two CPUs and the array spans two blocks, one
-helper thread formats every other block in its own workspace and hands each
-block's text over through a one-slot handoff, so at most two blocks of text
-are alive; the chunks come out in order, and their bytes are those of a
-per-value "%.17g" join, with or without the helper.  Most block-wide steps
-release the GIL, but the pack does not, and a block is a few dozen short
-numpy calls, so the helper's gain is small and follows the load of the
-machine: on a 2-core x86 VM shared with other tenants, eight sets of 9-11
-alternating runs streamed the four Fig. 1-2 grids on two threads in 0.47-0.65
-s against 0.59-0.70 s on one, from 21% faster to 10% slower (malloc's mmap
-and trim thresholds at 32 and 64 MiB).
+The text is formatted on the caller's thread alone.  A helper thread gained
+little, because the pack holds the GIL: it took from 21% less to 10% more
+time than one thread.  write_grid_csv instead forks one child when the
+process may use two CPUs, runs no other Python thread and the grid spans at
+least _FORK_BLOCKS blocks.  The parent streams the header and
+the first half of the blocks into its temp file while the child streams the
+second half into a sibling temp file, with its own workspace, and leaves
+through os._exit whatever happens.  The parent then reaps the child, appends
+the child's file to its own with os.copy_file_range, removes it and renames
+its own onto the target.  On an error or an interrupt the parent kills and
+reaps the child and removes both temp files; a child that fails makes the
+parent raise ChildProcessError.  The bytes are those of the one-process
+stream.  On a 2-core x86 VM shared with other tenants, a fork, exit and
+wait took 2.3-4.6 ms in a 96 MB process, and a block about 1 ms to format.
+In the best of 21 alternating runs under the benchmark's malloc settings,
+the forked write of a 1536-column grid took 1.06 times as long as one
+process at 8 blocks, 0.91 at 12 and 0.81 at 16, so _FORK_BLOCKS is 16.
+The medians spread far wider, because the second CPU was often busy with
+other tenants' work.  Appending a 27 MB half took about 14 ms.
 
 A PGM's mapped range is found first without a copy of the grid (logabs
-takes the extremes block by block), then blocks of _PGM_ROWS rows are
+takes the |v| extremes block by block and the log of the two floored
+extremes, as the log is monotonic), then blocks of _PGM_ROWS rows are
 mapped, rounded and cast to samples.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import functools
 import math
 import os
-import tempfile
+import shutil
+import signal
 import threading
+import traceback
 from collections.abc import Iterable, Iterator
+from typing import NoReturn
 
 import numpy as np
 
@@ -82,30 +99,47 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def atomic_write_chunks(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like chunks, in order, to a temp file beside path and
-    rename it onto path.  On any error or interrupt the temp file is removed
-    and path is left as it was; a generator of chunks is closed either way."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-export-")
-    # mkstemp creates the file 0600 and the rename keeps it: give the output
-    # the mode a plain open() would, 0666 less the umask
-    umask = os.umask(0)
-    os.umask(umask)
+def _create_temp(path: str) -> tuple[int, str]:
+    """Create and open a new file under a random .tmp-export- name beside
+    path.  O_EXCL with mode 0666 gives it the mode a plain open() would,
+    0666 less the umask, which the rename keeps."""
+    directory = os.path.dirname(os.path.abspath(path))
+    flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, ".tmp-export-" + os.urandom(6).hex())
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator:
+    """A binary file object on a temp file beside path, renamed onto path
+    when the block ends and removed if it raises or is interrupted."""
+    fd, tmp = _create_temp(path)
     try:
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_chunks(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like chunks, in order, to a temp file beside path and
+    rename it onto path.  On any error or interrupt the temp file is removed
+    and path is left as it was; a generator of chunks is closed either way."""
+    try:
+        with _atomic_file(path) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     finally:
         close = getattr(chunks, "close", None)
         if close is not None:
-            close()  # stops a stream's helper thread
+            close()
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -440,64 +474,32 @@ def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
 # values per block: enough to amortize the per-block numpy calls, few enough
 # that a block's records and temporaries stay a few MB
 _BLOCK_VALUES = 1 << 14
+# blocks a grid must span before write_grid_csv forks (see the module
+# docstring): a fork costs 2-5 ms, a block about 1 ms to format
+_FORK_BLOCKS = 16
 # the longest %.17g text, "-1.2345678901234567e-308", and its separator
 _MAX_TEXT = 25
 
 
-def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
-    """head, then the text of each block of rows, each row a line of %.17g
-    values; odd blocks go to a helper thread when there are two CPUs and two
-    blocks (see the module docstring)."""
-    rows = np.asarray(rows, dtype=np.float64)
+def _block_rows(ncols: int) -> int:
+    """Rows per CSV block."""
+    return max(1, _BLOCK_VALUES // ncols)
+
+
+def _csv_blocks(rows: np.ndarray) -> Iterator:
+    """The text of each block of rows, each row a line of %.17g values,
+    formatted in one workspace."""
     nrows, ncols = rows.shape
-    step = max(1, _BLOCK_VALUES // ncols)
-    starts = range(0, nrows, step)
+    step = _block_rows(ncols)
     workspace = _Workspace(min(step, nrows) * ncols)
+    for start in range(0, nrows, step):
+        yield _format_values(rows[start : start + step].ravel(), workspace, ncols)
 
-    def block(start: int, ws: _Workspace) -> np.ndarray:
-        return _format_values(rows[start : start + step].ravel(), ws, ncols)
 
+def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
+    """head, then the text of each block of rows."""
     yield head
-    if len(starts) < 2 or cpu_count() < 2:
-        for start in starts:
-            yield block(start, workspace)
-        return
-
-    # one-slot handoff: the helper starts its next block only once the caller
-    # has taken the last one, so at most two blocks of text are alive
-    helper_ws, slot = _Workspace(len(workspace.rec)), []
-    free, full, stop = threading.Semaphore(1), threading.Semaphore(0), threading.Event()
-
-    def work() -> None:
-        for start in starts[1::2]:
-            free.acquire()
-            if stop.is_set():
-                return
-            try:
-                slot.append(block(start, helper_ws))
-            except BaseException as exc:
-                slot.append(exc)
-                full.release()
-                return
-            full.release()
-
-    helper = threading.Thread(target=work, name="subzurek-csv")
-    helper.start()
-    try:
-        for i, start in enumerate(starts):
-            if i % 2 == 0:
-                text = block(start, workspace)
-            else:
-                full.acquire()
-                text = slot.pop()
-                free.release()
-                if isinstance(text, BaseException):
-                    raise text
-            yield text
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
+    yield from _csv_blocks(np.asarray(rows, dtype=np.float64))
 
 
 def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
@@ -528,6 +530,76 @@ def _grid_head(grid: PhaseSpaceGrid, header_comments: list[str] | None) -> bytes
 def grid_csv_chunks(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> Iterator:
     """The chunks of grid_to_csv's text, in order, for atomic_write_chunks."""
     return _csv_chunks(_grid_head(grid, header_comments), grid.values)
+
+
+def _write_and_exit(fd: int, rows: np.ndarray) -> NoReturn:
+    """In a forked child: write the text of rows to the file open at fd, then
+    leave through os._exit, with status 0 only if every byte was written."""
+    status = 1
+    try:
+        with open(fd, "wb", closefd=False) as fh:
+            for chunk in _csv_blocks(rows):
+                fh.write(chunk)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _append(src: int, fh) -> None:
+    """Append the whole file open at src to the binary file object fh."""
+    fh.flush()
+    offset = 0
+    try:
+        while copied := os.copy_file_range(src, fh.fileno(), 1 << 30, offset):
+            offset += copied
+    except OSError as exc:
+        # a file system or sandbox without the call: copy through user space
+        if exc.errno not in (errno.ENOSYS, errno.EPERM, errno.EOPNOTSUPP, errno.EXDEV, errno.EINVAL):
+            raise
+        with open(src, "rb", closefd=False) as part:
+            part.seek(offset)
+            shutil.copyfileobj(part, fh)
+
+
+def write_grid_csv(path: str, grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> None:
+    """Write grid_to_csv's text to path through a temp file, as
+    atomic_write_chunks(path, grid_csv_chunks(grid, header_comments)) does.
+    When the process may use two CPUs, runs no other Python thread and the
+    grid spans at least _FORK_BLOCKS blocks, a forked child formats the
+    second half of the rows meanwhile (see the module docstring)."""
+    head = _grid_head(grid, header_comments)
+    rows = np.asarray(grid.values, dtype=np.float64)
+    step = _block_rows(rows.shape[1])
+    blocks = -(-len(rows) // step)
+    # a fork copies no thread, so a lock another thread holds stays locked
+    # in the child
+    forkable = threading.active_count() == 1 and hasattr(os, "copy_file_range")
+    if blocks < _FORK_BLOCKS or cpu_count() < 2 or not forkable:
+        atomic_write_chunks(path, _csv_chunks(head, rows))
+        return
+    mid = step * (blocks // 2)
+    with _atomic_file(path) as fh:
+        fd, tmp = _create_temp(path)
+        pid = 0
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_and_exit(fd, rows[mid:])
+            for chunk in _csv_chunks(head, rows[:mid]):
+                fh.write(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = 0
+            if status != 0:
+                raise ChildProcessError(f"the forked writer of CSV rows {mid}:{len(rows)} exited with status {status}")
+            _append(fd, fh)
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
+            os.unlink(tmp)
 
 
 def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> bytearray:
@@ -564,7 +636,7 @@ def _premapped(values: np.ndarray, mapping: str) -> np.ndarray:
 
 def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
     """The (lo, hi) that map_values sends to (0, 1), with no copy of values:
-    logabs takes the extremes of each block of rows."""
+    logabs takes the |v| extremes of each block of rows."""
     if mapping == MAP_SIGNED:
         m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
         return (-0.0, 0.0) if m == 0.0 else (-m, m)
@@ -572,12 +644,14 @@ def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
         return float(values.min()), float(values.max())
     if mapping != MAP_LOGABS:
         raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
+    # the log is monotonic, so the range is the log of the floored |v| extremes
     lows, highs = [], []
     for start in range(0, len(values), _PGM_ROWS):
-        logs = _premapped(values[start : start + _PGM_ROWS], mapping)
-        lows.append(logs.min())
-        highs.append(logs.max())
-    return float(np.min(lows)), float(np.max(highs))  # a nan propagates
+        a = np.abs(values[start : start + _PGM_ROWS])
+        lows.append(a.min())
+        highs.append(a.max())
+    lo, hi = np.log(np.maximum([np.min(lows), np.max(highs)], LOG_FLOOR))  # a nan propagates
+    return float(lo), float(hi)
 
 
 def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.ndarray:

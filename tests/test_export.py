@@ -1,8 +1,10 @@
+import errno
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,6 +31,7 @@ from subzurek.export import (
     grid_to_pgm,
     log_profile,
     map_values,
+    write_grid_csv,
 )
 from subzurek.states import PhysicalConstants, StateSpec
 from subzurek.wigner import GridWindow, PhaseSpaceGrid, eval_grid
@@ -43,6 +46,16 @@ def small_grid():
         normalized=True,
     )
     return eval_grid(st, GridWindow(-2.0, 2.0, -2.0, 2.0, 9, 7))
+
+
+def preset_grid(preset: str) -> PhaseSpaceGrid:
+    """The auto-window grid of a CLI preset."""
+    from subzurek import cli
+
+    args = cli.build_parser().parse_args(["wigner", "--preset", preset])
+    scenario = cli.resolve_scenario(args)
+    source = scenario.build_source(args.source)
+    return eval_grid(source, cli.auto_window(scenario, source)[0])
 
 
 class TestCsv:
@@ -211,103 +224,187 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-def helper_threads(monkeypatch) -> set:
-    """Record the idents of threads other than the caller's that format blocks."""
-    seen, caller, fmt = set(), threading.get_ident(), export._format_values
+def forks(monkeypatch) -> list:
+    """Record the pid of each child that the export forks, as the parent sees it."""
+    seen, fork = [], os.fork
 
-    def recording(*args):
-        if threading.get_ident() != caller:
-            seen.add(threading.get_ident())
-        return fmt(*args)
+    def recording():
+        pid = fork()
+        if pid:
+            seen.append(pid)
+        return pid
 
-    monkeypatch.setattr(export, "_format_values", recording)
+    monkeypatch.setattr(os, "fork", recording)
     return seen
 
 
-class TestTwoThreads:
-    @pytest.mark.parametrize("extra_rows", [0, 1, 37], ids=["even", "one-row-tail", "uneven"])
-    def test_specials_in_every_block(self, cpus, extra_rows, monkeypatch):
-        ncols = 64
-        step = _BLOCK_VALUES // ncols
-        nrows = 5 * step + extra_rows
-        rows = np.random.default_rng(nrows).standard_normal((nrows, ncols))
-        specials = np.array(SPECIAL + NEAR_TIES)
-        for start in range(0, nrows, step):  # blocks of both threads
-            rows[start, : specials.size] = specials
-            rows[min(start + step, nrows) - 1, -specials.size :] = specials[::-1]
-        seen = helper_threads(monkeypatch)
-        assert formatted(rows) == per_value_join(rows)
-        assert len(seen) == (cpus - 1)
+def in_child(parent: int) -> bool:
+    return os.getpid() != parent
 
-    def test_workspace_reuse_special_regular_ragged(self, cpus):
-        # blocks 0-1 hold every special value, 2-3 none, and block 4 is
-        # ragged: on one CPU one workspace takes all five in turn, on two the
-        # caller's takes 0, 2 and 4, so a value left in a workspace by the
-        # block before would show in the text
+
+def no_child_left() -> bool:
+    """Whether every child this process forked has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def rows_of_blocks(nblocks: int, ncols: int, extra_rows: int = 0, seed: int = 0) -> np.ndarray:
+    step = _BLOCK_VALUES // ncols
+    return np.random.default_rng(seed).standard_normal((nblocks * step + extra_rows, ncols))
+
+
+def written_grid_csv(tmp_path, rows: np.ndarray) -> bytes:
+    """The bytes write_grid_csv writes for a grid of these values, checked
+    against the per-value join; no temp file may remain."""
+    grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, *rows.shape), rows)
+    path = tmp_path / "grid.csv"
+    write_grid_csv(str(path), grid, ["note"])
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+    text = path.read_bytes()
+    assert text == grid_to_csv(grid, ["note"])
+    assert text.endswith(per_value_join(rows))
+    return text
+
+
+@pytest.fixture
+def fork_from_8_blocks(monkeypatch):
+    """Let write_grid_csv fork for grids of 8 blocks or more, so that small
+    grids take the forked path; test_fork_threshold checks the real one."""
+    monkeypatch.setattr(export, "_FORK_BLOCKS", 8)
+
+
+@pytest.mark.parametrize("nblocks", [1, 2, export._FORK_BLOCKS - 1, export._FORK_BLOCKS])
+def test_fork_threshold(nblocks, tmp_path, monkeypatch):
+    monkeypatch.setattr(export, "cpu_count", lambda: 2)
+    seen = forks(monkeypatch)
+    written_grid_csv(tmp_path, rows_of_blocks(nblocks, 256, seed=nblocks))
+    assert len(seen) == (nblocks >= export._FORK_BLOCKS)
+
+
+@pytest.mark.usefixtures("fork_from_8_blocks")
+class TestTwoThreads:
+    """The CSV text is formatted on the caller's thread alone, and
+    write_grid_csv formats the second half of a grid in a forked child when
+    the process may use two CPUs and runs no second Python thread."""
+
+    @pytest.mark.parametrize("extra_rows", [0, 1, 37], ids=["even", "one-row-tail", "uneven"])
+    def test_specials_in_every_block(self, cpus, extra_rows, tmp_path, monkeypatch):
+        # 8 blocks split 4 and 4; 9 blocks split 4 and 5, the last one row or 37
         ncols = 64
         step = _BLOCK_VALUES // ncols
-        rows = np.random.default_rng(4).standard_normal((4 * step + 7, ncols))
+        rows = rows_of_blocks(8, ncols, extra_rows, seed=extra_rows)
+        specials = np.array(SPECIAL + NEAR_TIES)
+        for start in range(0, len(rows), step):  # blocks of both halves
+            rows[start, : specials.size] = specials
+            rows[min(start + step, len(rows)) - 1, -specials.size :] = specials[::-1]
+        seen = forks(monkeypatch)
+        written_grid_csv(tmp_path, rows)
+        assert len(seen) == cpus - 1
+        assert no_child_left()
+
+    def test_workspace_reuse_special_regular_ragged(self, cpus, tmp_path):
+        # blocks 0-1 and 4-5 hold every special value, 2-3 and 6-7 none, and
+        # block 8 is ragged: the caller's workspace takes 0-3 (0-8 on one
+        # CPU) in turn and the child's 4-8, so a value left in a workspace by
+        # the block before would show in the text
+        ncols = 64
+        step = _BLOCK_VALUES // ncols
+        rows = rows_of_blocks(8, ncols, 7, seed=4)
         specials = np.array(SPECIAL + NEAR_TIES + ONE_BY_ONE_TIES)
-        for start in (0, step):
+        for start in (0, step, 4 * step, 5 * step):
             rows[start, : specials.size] = specials
             rows[start + 1, -specials.size :] = specials  # the last at a row's end
         assert formatted(rows) == per_value_join(rows)
+        written_grid_csv(tmp_path, rows)
 
-    def test_longest_text_fills_the_buffer(self, cpus):
-        rows = np.full((3 * _BLOCK_VALUES // 8 + 5, 8), LONGEST)
+    def test_longest_text_fills_the_buffer(self, cpus, tmp_path):
+        rows = np.full((8 * _BLOCK_VALUES // 8 + 5, 8), LONGEST)
         text = formatted(rows)
         assert b"%.17g," % LONGEST == b"-1.2345678901234567e-308,"
         assert len(text) == _MAX_TEXT * rows.size
         assert text == per_value_join(rows)
+        written_grid_csv(tmp_path, rows)
 
-    def test_one_block_starts_no_thread(self, cpus, monkeypatch):
-        seen = helper_threads(monkeypatch)
-        rows = np.random.default_rng(3).standard_normal((_BLOCK_VALUES // 4, 4))
+    def test_one_block_starts_no_thread(self, cpus, tmp_path, monkeypatch):
+        seen = forks(monkeypatch)
+        rows = rows_of_blocks(1, 4, seed=3)
+        before = threading.active_count()
         assert formatted(rows) == per_value_join(rows)
+        written_grid_csv(tmp_path, rows)
+        assert threading.active_count() == before
         assert not seen
 
-    def test_threads_end_with_the_call(self, cpus):
+    def test_threads_end_with_the_call(self, cpus, tmp_path):
         before = threading.active_count()
-        rows = np.random.default_rng(5).standard_normal((4 * _BLOCK_VALUES // 16, 16))
+        rows = rows_of_blocks(9, 16, seed=5)
         assert formatted(rows) == per_value_join(rows)
+        written_grid_csv(tmp_path, rows)
         assert threading.active_count() == before
+        assert no_child_left()
 
-    def test_order_holds_under_frequent_thread_switches(self, monkeypatch):
+    def test_order_holds_under_frequent_thread_switches(self, tmp_path, monkeypatch):
+        # while a second Python thread runs, a fork could copy a lock it
+        # holds: the whole grid is formatted on the caller
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
-        rows = np.random.default_rng(9).standard_normal((9 * _BLOCK_VALUES // 32 + 3, 32))
+        seen = forks(monkeypatch)
+        rows = rows_of_blocks(9, 32, 3, seed=9)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        other.start()
         try:
-            text = formatted(rows)
+            written_grid_csv(tmp_path, rows)
         finally:
+            done.set()
+            other.join(timeout=60)
             sys.setswitchinterval(interval)
-        assert text == per_value_join(rows)
+        assert not other.is_alive()
+        assert not seen
 
-    def test_helper_error_reaches_the_caller(self, monkeypatch):
+    def test_helper_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        # the child formats blocks 4-8 and fails at its first; the parent
+        # finishes its own half, reaps the child and raises
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
-        caller, fmt = threading.get_ident(), export._format_values
+        parent, fmt = os.getpid(), export._format_values
 
         def failing(*args):
-            if threading.get_ident() != caller:
-                raise ArithmeticError("helper block")
+            if in_child(parent):
+                raise ArithmeticError("child block")
             return fmt(*args)
 
         monkeypatch.setattr(export, "_format_values", failing)
-        before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="helper block"):
-            formatted(np.ones((4 * _BLOCK_VALUES // 16, 16)))
-        assert threading.active_count() == before
+        seen = forks(monkeypatch)
+        target = tmp_path / "grid.csv"
+        target.write_bytes(b"previous contents\n")
+        grid = block_grid(9)
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            write_grid_csv(str(target), grid)
+        assert target.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+        assert len(seen) == 1 and no_child_left()
 
-    def test_helper_loads_no_thread_pool(self):
+    def test_helper_loads_no_thread_pool(self, tmp_path):
+        # the child is a bare fork: no executor, no multiprocessing, and no
+        # thread in either process
         code = (
-            "import sys, numpy as np; from subzurek import export; export.cpu_count = lambda: 2; "
-            "export._csv_bytes(b'', np.ones((4, export._BLOCK_VALUES // 2))); "
-            "print('concurrent.futures' in sys.modules)"
+            "import os, sys, threading, numpy as np; from subzurek import export, wigner; "
+            "export.cpu_count = lambda: 2; rows = np.ones((2 * export._FORK_BLOCKS, export._BLOCK_VALUES)); "
+            "grid = wigner.PhaseSpaceGrid(wigner.GridWindow(-1, 1, -1, 1, *rows.shape), rows); "
+            "forked, fork = [], os.fork; os.fork = lambda: forked.append(1) or fork(); "
+            "export.write_grid_csv(sys.argv[1], grid); "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)), threading.active_count(), "
+            "len(forked))"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(export.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        path = str(tmp_path / "grid.csv")
+        out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[] 1 1"
+        assert os.path.getsize(path) > 2 * export._FORK_BLOCKS * export._BLOCK_VALUES
 
 
 def key_value(neg: int, layout: int, s: int) -> float:
@@ -334,12 +431,7 @@ class TestRecordLayout:
         # the pack copies each run of kept bytes on its own; a value with 17
         # significant digits is one run (this block took 2.82 runs a value
         # when the sign, the prefix, the point and the exponent sat apart)
-        from subzurek import cli
-
-        args = cli.build_parser().parse_args(["wigner", "--preset", "fig2b"])
-        scenario = cli.resolve_scenario(args)
-        source = scenario.build_source(args.source)
-        values = eval_grid(source, cli.auto_window(scenario, source)[0]).values
+        values = preset_grid("fig2b").values
         ncols = values.shape[1]
         step = _BLOCK_VALUES // ncols
         v = values[len(values) // 2 : len(values) // 2 + step].ravel()
@@ -482,6 +574,16 @@ class TestValueMaps:
         assert vals[0] == math.log(LOG_FLOOR)
         assert vals[1] == 0.0
 
+    def test_logabs_range_is_the_log_of_the_abs_extremes(self):
+        # log(max(|v|, floor)) is monotonic, so the logs of the floored |v|
+        # extremes are the extremes of the per-sample logs
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 90, 2))
+            v = 10.0 ** rng.uniform(-300.0, 300.0, shape) * rng.choice([-1.0, 1.0], shape)
+            logs = np.log(np.maximum(np.abs(v), LOG_FLOOR))
+            assert export._mapped_range(v, "logabs") == (logs.min(), logs.max())
+
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
             map_values(np.zeros((2, 2)), "rainbow")
@@ -529,6 +631,15 @@ def unit_before_in_place(values, mapping):
     return (logs - lo) / (hi - lo)
 
 
+@pytest.mark.parametrize("preset", ["fig1", "fig2a", "fig2b", "fig2c", "cat"])
+def test_preset_logabs_pgm_matches_the_per_sample_logs(preset):
+    grid = preset_grid(preset)
+    logs = np.log(np.maximum(np.abs(grid.values), LOG_FLOOR))
+    assert export._mapped_range(grid.values, "logabs") == (logs.min(), logs.max())
+    body = grid_to_pgm(grid, "logabs", 16).split(b"\n65535\n", 1)[1]
+    assert body == pgm_reference(grid.values, "logabs", 16)
+
+
 class TestPgmInPlace:
     @pytest.mark.parametrize("mapping", ["linear", "signed", "logabs"])
     @pytest.mark.parametrize("bits", [8, 16])
@@ -572,9 +683,17 @@ class TestAtomicWrite:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o644
 
+    def test_umask_is_not_read(self, tmp_path, monkeypatch):
+        # setting the umask to read it would give a file another thread
+        # creates meanwhile mode 0666
+        def refused(mask):
+            raise AssertionError("os.umask called")
 
-def live_helpers() -> list:
-    return [t for t in threading.enumerate() if t.name == "subzurek-csv"]
+        monkeypatch.setattr(os, "umask", refused)
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "data\n")
+        assert path.read_text() == "data\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def traced_peak(fn) -> int:
@@ -606,6 +725,16 @@ class TestStreamedWrite:
         assert os.path.getsize(csv) > 50e6 and os.path.getsize(pgm) > 2 * n * n
         assert csv_peak <= 16e6
         assert pgm_peak <= 4e6
+
+    def test_forked_write_peak_memory_fig2b(self, cpus, tmp_path, monkeypatch):
+        # the parent holds its half's blocks only; the child's memory is its own
+        grid = preset_grid("fig2b")
+        seen = forks(monkeypatch)
+        path = str(tmp_path / "grid.csv")
+        peak = traced_peak(lambda: write_grid_csv(path, grid, ["peak"]))
+        assert len(seen) == cpus - 1
+        assert os.path.getsize(path) > 50e6
+        assert peak <= 16e6
 
     # a window needs two samples per axis, so the one-row cases are the last
     # PGM block of 129 rows and the two-row grid's CSV block
@@ -648,70 +777,69 @@ class TestStreamedWrite:
         assert list(tmp_path.iterdir()) == []
 
 
-def block_grid(nblocks: int = 5, ncols: int = 16) -> PhaseSpaceGrid:
-    """A grid whose k-th CSV block holds the value k throughout."""
+def block_grid(nblocks: int = 9, ncols: int = 16) -> PhaseSpaceGrid:
+    """A grid whose k-th CSV block holds the value k throughout; on two CPUs
+    write_grid_csv forks for 9 blocks and leaves blocks 4-8 to the child."""
     step = _BLOCK_VALUES // ncols
     values = np.repeat(np.arange(float(nblocks)), step)[:, None] * np.ones(ncols)
     return PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, *values.shape), values)
 
 
+@pytest.mark.usefixtures("fork_from_8_blocks")
 class TestStreamedWriteAtomicity:
     """A failure part way through a stream leaves the target as it was, no
-    temp file, and no helper thread."""
+    temp file, no thread and no child process."""
 
-    def check(self, tmp_path, chunks, error):
+    def check(self, tmp_path, write, error):
         target = tmp_path / "grid.csv"
         target.write_bytes(b"previous contents\n")
         before = threading.active_count()
         with pytest.raises(error):
-            atomic_write_chunks(str(target), chunks)
+            write(str(target))
         assert target.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
-        assert not live_helpers()
         assert threading.active_count() == before
+        assert no_child_left()
 
-    def failing_block(self, monkeypatch, k, error):
-        fmt = export._format_values
+    def failing_block(self, monkeypatch, k, error, child_sleeps=0.0):
+        """Make block k raise error; with child_sleeps, each block the
+        forked child takes first sleeps that long."""
+        parent, fmt = os.getpid(), export._format_values
 
         def failing(v, *args):
             if v[0] == k:
                 raise error(f"block {k}")
+            if child_sleeps and in_child(parent):
+                time.sleep(child_sleeps)
             return fmt(v, *args)
 
         monkeypatch.setattr(export, "_format_values", failing)
 
     def test_formatter_error_in_a_helper_block(self, cpus, tmp_path, monkeypatch):
-        # block 1 is the helper's first block on two CPUs
-        self.failing_block(monkeypatch, 1, ArithmeticError)
-        self.check(tmp_path, grid_csv_chunks(block_grid()), ArithmeticError)
+        # block 6 is the child's on two CPUs, the caller's on one
+        self.failing_block(monkeypatch, 6, ArithmeticError)
+        seen = forks(monkeypatch)
+        error = ChildProcessError if cpus == 2 else ArithmeticError
+        self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), error)
+        assert len(seen) == cpus - 1
 
     def test_interrupt_from_the_chunk_iterator(self, cpus, tmp_path, monkeypatch):
-        # block 2 is the caller's, formatted while the helper holds block 3
-        self.failing_block(monkeypatch, 2, KeyboardInterrupt)
-        self.check(tmp_path, grid_csv_chunks(block_grid()), KeyboardInterrupt)
+        # block 2 is the caller's, interrupted while the child sleeps in its
+        # first block: the child is killed and reaped, both temp files removed
+        self.failing_block(monkeypatch, 2, KeyboardInterrupt, child_sleeps=30.0)
+        seen = forks(monkeypatch)
+        start = time.monotonic()
+        self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), KeyboardInterrupt)
+        assert len(seen) == cpus - 1
+        assert time.monotonic() - start < 20.0  # the parent did not wait out the child
 
-    def test_early_close_under_frequent_thread_switches(self, monkeypatch):
+    @pytest.mark.parametrize("k", range(9))
+    def test_failure_at_every_block(self, k, tmp_path, monkeypatch):
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
-        grid, closed = block_grid(7), []
-
-        def consume_and_close():
-            for k in range(10):  # head, then 7 blocks, then past the end
-                stream = grid_csv_chunks(grid)
-                for _ in zip(range(k), stream):
-                    pass
-                stream.close()
-                closed.append(not live_helpers())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=consume_and_close)
-            worker.start()
-            worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert closed == [True] * 10
+        self.failing_block(monkeypatch, k, ArithmeticError)
+        error = ChildProcessError if k >= 4 else ArithmeticError
+        self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), error)
+        self.check(tmp_path, lambda path: atomic_write_chunks(path, grid_csv_chunks(block_grid())), ArithmeticError)
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
     def test_write_error_after_some_chunks(self, cpus, tmp_path, monkeypatch, fmt):
@@ -735,6 +863,20 @@ class TestStreamedWriteAtomicity:
 
         monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
         grid = block_grid()
-        chunks = grid_csv_chunks(grid) if fmt == "csv" else grid_pgm_chunks(grid, "signed", 16)
-        self.check(tmp_path, chunks, OSError)
+        if fmt == "csv":
+            self.check(tmp_path, lambda path: write_grid_csv(path, grid), OSError)
+        else:
+            self.check(tmp_path, lambda path: atomic_write_chunks(path, grid_pgm_chunks(grid, "signed", 16)), OSError)
         assert len(writes) == 3
+
+    def test_copy_falls_back_to_user_space(self, tmp_path, monkeypatch):
+        # a file system or sandbox that refuses copy_file_range
+        monkeypatch.setattr(export, "cpu_count", lambda: 2)
+
+        def refused(*args):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        monkeypatch.setattr(os, "copy_file_range", refused)
+        seen = forks(monkeypatch)
+        written_grid_csv(tmp_path, rows_of_blocks(9, 64, 5, seed=12))
+        assert len(seen) == 1
