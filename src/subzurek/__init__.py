@@ -13,7 +13,6 @@ from .superosc import (
     eval_f_direct,
     eval_f_fourier,
     fourier_coeffs,
-    local_expansion,
     phase_gradient,
 )
 from .states import (
@@ -23,15 +22,12 @@ from .states import (
     build_psi,
     eval_psi,
     norm_squared,
-    state_from_text,
-    state_to_text,
 )
 from .wigner import (
     GridWindow,
     MixtureSpec,
     MixtureTerm,
     PhaseSpaceGrid,
-    compass_mixture,
     cross_state,
     eval_grid,
     eval_wigner,
@@ -42,7 +38,6 @@ from .wigner import (
     purity,
     suggested_window,
     total_integral,
-    wigner_bound,
 )
 from .oracle import QuadratureSpec, default_quadrature, norm_quadrature, wigner_quadrature
 from .analysis import (
@@ -73,7 +68,6 @@ __all__ = [
     "build_cat",
     "build_psi",
     "central_cut_crossings",
-    "compass_mixture",
     "cross_state",
     "default_quadrature",
     "displacement_sensitivity",
@@ -85,7 +79,6 @@ __all__ = [
     "finest_fringe",
     "fourier_coeffs",
     "half_overlap_displacement",
-    "local_expansion",
     "marginal_x",
     "norm_quadrature",
     "norm_squared",
@@ -94,12 +87,9 @@ __all__ = [
     "pair_kernel",
     "phase_gradient",
     "purity",
-    "state_from_text",
-    "state_to_text",
     "suggested_window",
     "superosc_scale",
     "total_integral",
-    "wigner_bound",
     "wigner_quadrature",
     "zurek_scale",
 ]

@@ -5,17 +5,17 @@ and every writer goes through a temp-file-then-rename so no partial output
 survives an error or an interrupt.  Identical inputs produce byte-identical
 files.
 
-A grid export is a stream of chunks that atomic_write_chunks writes into the
-temp file one at a time (grid_csv_chunks, grid_pgm_chunks), so no whole-file
-copy is held: a 1536^2 grid peaks at about 3.5 MB of Python allocations as
-CSV and 2 MB as 16-bit PGM.  The CLI writes a grid CSV through
-write_grid_csv, which may split the stream between two processes (below).
+A grid export is a stream of chunks written into the temp file one at a
+time, so no whole-file copy is held: a 1536^2 grid peaks at about 3.5 MB of
+Python allocations as CSV and 2 MB as 16-bit PGM.  The CLI writes a grid CSV
+through write_grid_csv, which may split the stream between two processes
+(below), and a PGM as atomic_write_chunks(path, grid_pgm_chunks(...)).
 grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into one
-object for library callers; the CSV collectors allocate one buffer at
-_MAX_TEXT bytes per value (the longest %.17g text and its separator) and cut
-it to length at the end.  A temp file is created with O_EXCL under a random
-.tmp-export- name and mode 0666, so it gets the mode a plain open() would,
-0666 less the umask, without the umask being read.
+object; the CSV collectors allocate one buffer at _MAX_TEXT bytes per value
+(the longest %.17g text and its separator) and cut it to length at the end.
+A temp file is created with O_EXCL under a random .tmp-export- name and mode
+0666, so it gets the mode a plain open() would, 0666 less the umask, without
+the umask being read.
 
 CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
 values: each value's 17 significant digits come from an exact double-double
@@ -527,11 +527,6 @@ def _grid_head(grid: PhaseSpaceGrid, header_comments: list[str] | None) -> bytes
     return _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
 
 
-def grid_csv_chunks(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> Iterator:
-    """The chunks of grid_to_csv's text, in order, for atomic_write_chunks."""
-    return _csv_chunks(_grid_head(grid, header_comments), grid.values)
-
-
 def _write_and_exit(fd: int, rows: np.ndarray) -> NoReturn:
     """In a forked child: write the text of rows to the file open at fd, then
     leave through os._exit, with status 0 only if every byte was written."""
@@ -564,11 +559,11 @@ def _append(src: int, fh) -> None:
 
 
 def write_grid_csv(path: str, grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> None:
-    """Write grid_to_csv's text to path through a temp file, as
-    atomic_write_chunks(path, grid_csv_chunks(grid, header_comments)) does.
-    When the process may use two CPUs, runs no other Python thread and the
-    grid spans at least _FORK_BLOCKS blocks, a forked child formats the
-    second half of the rows meanwhile (see the module docstring)."""
+    """Write grid_to_csv's text to path through a temp file, one block of
+    rows at a time.  When the process may use two CPUs, runs no other Python
+    thread and the grid spans at least _FORK_BLOCKS blocks, a forked child
+    formats the second half of the rows meanwhile (see the module
+    docstring)."""
     head = _grid_head(grid, header_comments)
     rows = np.asarray(grid.values, dtype=np.float64)
     step = _block_rows(rows.shape[1])
@@ -635,8 +630,12 @@ def _premapped(values: np.ndarray, mapping: str) -> np.ndarray:
 
 
 def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
-    """The (lo, hi) that map_values sends to (0, 1), with no copy of values:
-    logabs takes the |v| extremes of each block of rows."""
+    """The (lo, hi) that the map sends to (0, 1), with no copy of values:
+    logabs takes the |v| extremes of each block of rows.
+
+    linear: [min, max].  signed: symmetric about zero, [-M, M] with
+    M = max|v|.  logabs: ln(max(|v|, 1e-300)) then linear; the floor keeps
+    zeros finite."""
     if mapping == MAP_SIGNED:
         m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
         return (-0.0, 0.0) if m == 0.0 else (-m, m)
@@ -670,19 +669,6 @@ def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.nda
     else:
         unit.fill(0.0)
     return unit
-
-
-def map_values(values: np.ndarray, mapping: str) -> tuple[np.ndarray, float, float]:
-    """Map raw values to [0,1] per the chosen scheme; returns (unit, lo, hi).
-
-    linear: [min, max] -> [0, 1].
-    signed: symmetric about zero, [-M, M] -> [0, 1] with M = max|v|.
-    logabs: ln(max(|v|, 1e-300)) then linear; the floor keeps zeros finite.
-
-    unit is one new array, mapped in place; values is left unchanged.
-    """
-    lo, hi = _mapped_range(values, mapping)
-    return _map_block(values, mapping, lo, hi), lo, hi
 
 
 def grid_pgm_chunks(

@@ -211,61 +211,3 @@ def eval_psi(state: StateSpec, x):
         return complex(out)
     return out
 
-
-# ---------------------------------------------------------------------------
-# flat text serialization (17 significant digits, round-trip exact)
-
-def state_to_text(state: StateSpec) -> str:
-    lines = [
-        f"hbar = {state.constants.hbar:.17g}",
-        f"normalized = {int(state.normalized)}",
-        f"n_components = {state.centers.size}",
-    ]
-    for i, (center, coeff) in enumerate(zip(state.centers.tolist(), state.coeffs.tolist())):
-        lines.append(
-            f"component_{i} = {center:.17g} {state.xi:.17g} "
-            f"{coeff.real:.17g} {coeff.imag:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def state_from_text(text: str) -> StateSpec:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise ValueError(f"state text repeats key {key!r}")
-        fields[key] = value.strip()
-    try:
-        hbar = float(fields["hbar"])
-        normalized = int(fields["normalized"])
-        n = int(fields["n_components"])
-        rows = []
-        for i in range(n):
-            center, xi, re, im = (float(t) for t in fields[f"component_{i}"].split())
-            rows.append((center, xi, complex(re, im)))
-    except KeyError as exc:
-        raise ValueError(f"state text missing field {exc}") from exc
-    if normalized not in (0, 1):
-        raise ValueError(f"normalized must be 0 or 1, got {normalized}")
-    known = {"hbar", "normalized", "n_components"} | {f"component_{i}" for i in range(n)}
-    unknown = sorted(set(fields) - known)
-    extra = [k for k in unknown if k.startswith("component_") and k[len("component_"):].isdigit()]
-    if extra:
-        raise ValueError(f"component lines {extra} past n_components = {n}")
-    if unknown:
-        raise ValueError(f"state text has unknown keys {unknown}")
-    xis = sorted({xi for _, xi, _ in rows})
-    if len(xis) > 1:
-        raise ValueError(f"components carry mixed xi values {xis}")
-    return StateSpec(
-        centers=[center for center, _, _ in rows],
-        coeffs=[coeff for _, _, coeff in rows],
-        xi=xis[0] if xis else math.nan,
-        constants=PhysicalConstants(hbar=hbar),
-        normalized=bool(normalized),
-    )

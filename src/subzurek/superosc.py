@@ -61,11 +61,6 @@ class SuperoscParams:
         if not math.isfinite(self.alpha) or self.alpha < 1.0:
             raise ValueError(f"alpha must be finite and >= 1, got {self.alpha}")
 
-    @property
-    def band_limit(self) -> float:
-        """Highest frequency present in the Fourier form (= n)."""
-        return float(self.n)
-
 
 @dataclass(frozen=True)
 class CoeffTable:
@@ -175,19 +170,6 @@ def eval_f_fourier(table: CoeffTable, params: SuperoscParams, x: float) -> compl
             term = mp.mpf(cj.numerator) / cj.denominator
             acc += term * mp.expj((n - 2 * j) * xx)
         return complex(acc)
-
-
-def local_expansion(params: SuperoscParams, x: float, sharp: bool = False) -> complex:
-    """Local plane-wave form of f around the origin.
-
-    Default is e^{i n alpha x} e^{n alpha^2 x^2 / 2}.  With sharp=True the
-    Gaussian exponent uses the full second-order coefficient (alpha^2 - 1)/2
-    from expanding n*log(cos x + i alpha sin x), which tracks |f| more closely.
-    Valid for |x| << 1/(alpha*sqrt(n)).
-    """
-    n, a = params.n, params.alpha
-    envelope_rate = (a * a - 1.0) if sharp else a * a
-    return cmath.exp(complex(0.5 * n * envelope_rate * x * x, n * a * x))
 
 
 def phase_gradient(params: SuperoscParams, x: float = 0.0, step: float = 1e-6) -> float:

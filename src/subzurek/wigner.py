@@ -163,17 +163,6 @@ def cross_state(state: StateSpec) -> MixtureSpec:
     )
 
 
-def compass_mixture(L: float, xi: float, constants: PhysicalConstants | None = None) -> MixtureSpec:
-    """Four-armed reference mixture with extents L = P: a two-component cat of
-    separation L crossed with its own quarter-turn.
-
-    Serves as the non-superoscillating baseline in sensitivity comparisons.
-    """
-    from .states import build_cat
-
-    return cross_state(build_cat(L / 2.0, xi, constants))
-
-
 def pair_kernel(state: StateSpec, j: int, k: int, x, p) -> complex:
     """Ordered-pair kernel of components j and k of a state; k is the
     conjugated side.
@@ -322,11 +311,6 @@ def eval_wigner(source, x, p):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def wigner_bound(constants: PhysicalConstants) -> float:
-    """|W| <= 1/(pi hbar) for any normalized pure state."""
-    return 1.0 / (math.pi * constants.hbar)
 
 
 def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:

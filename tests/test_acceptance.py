@@ -33,7 +33,6 @@ from subzurek.superosc import SuperoscParams, eval_f_direct, eval_f_fourier, fou
 from subzurek.wigner import (
     GridWindow,
     _pair_sum_complex,
-    compass_mixture,
     cross_state,
     eval_grid,
     eval_wigner,
@@ -42,7 +41,6 @@ from subzurek.wigner import (
     overlap,
     suggested_window,
     total_integral,
-    wigner_bound,
 )
 
 CONST = PhysicalConstants()
@@ -190,7 +188,7 @@ def test_criterion_6_overspill_condition():
 
 def test_criterion_7_wigner_axioms():
     """Normalization, marginal identity, magnitude bound, purity per preset."""
-    bound = wigner_bound(CONST) + 1e-9
+    bound = 1 / (math.pi * CONST.hbar) + 1e-9
     details = []
     for name in ("fig1", "fig2a", "fig2b", "fig2c", "cat"):
         state = build_preset(name)
@@ -225,7 +223,7 @@ def test_criterion_8_no_sensitivity_gain():
     scales = {}
     for label, source in (
         ("cross", cross_state(build_preset("fig2a"))),
-        ("compass", compass_mixture(L, 1.0, CONST)),
+        ("compass", cross_state(build_cat(L / 2, 1.0, CONST))),
     ):
         ts, ov = overlap_decay_scan(source, (0.0, 1.0), 2.5, steps=201)
         scales[label] = last_half_crossing(ts, ov)

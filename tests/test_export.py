@@ -25,12 +25,10 @@ from subzurek.export import (
     atomic_write_chunks,
     atomic_write_text,
     cut_to_csv,
-    grid_csv_chunks,
     grid_pgm_chunks,
     grid_to_csv,
     grid_to_pgm,
     log_profile,
-    map_values,
     write_grid_csv,
 )
 from subzurek.states import PhysicalConstants, StateSpec
@@ -548,23 +546,30 @@ class TestNoPerValuePath:
         assert b"\n".join(lines[3:]) == per_value_join(rows)
 
 
+def mapped(values, mapping):
+    """(unit, lo, hi): the range, then the block map, as grid_pgm_chunks
+    takes them for a grid of one block."""
+    lo, hi = export._mapped_range(values, mapping)
+    return export._map_block(values, mapping, lo, hi), lo, hi
+
+
 class TestValueMaps:
     def test_linear(self):
         v = np.array([[1.0, 3.0], [2.0, 5.0]])
-        unit, lo, hi = map_values(v, "linear")
+        unit, lo, hi = mapped(v, "linear")
         assert (lo, hi) == (1.0, 5.0)
         assert unit.min() == 0.0 and unit.max() == 1.0
 
     def test_signed_symmetric_about_zero(self):
         v = np.array([[-2.0, 0.0], [1.0, 2.0]])
-        unit, lo, hi = map_values(v, "signed")
+        unit, lo, hi = mapped(v, "signed")
         assert (lo, hi) == (-2.0, 2.0)
         assert unit[0, 1] == 0.5
         assert unit[0, 0] == 0.0 and unit[1, 1] == 1.0
 
     def test_logabs_floor(self):
         v = np.array([[0.0, 1.0], [-1e-310, 10.0]])
-        unit, lo, hi = map_values(v, "logabs")
+        unit, lo, hi = mapped(v, "logabs")
         assert lo == math.log(LOG_FLOOR)
         assert hi == math.log(10.0)
         assert np.all(np.isfinite(unit))
@@ -586,7 +591,7 @@ class TestValueMaps:
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
-            map_values(np.zeros((2, 2)), "rainbow")
+            mapped(np.zeros((2, 2)), "rainbow")
 
 
 class TestPgm:
@@ -619,7 +624,7 @@ class TestPgm:
 
 
 def unit_before_in_place(values, mapping):
-    """map_values as it was written before it mapped in place."""
+    """The value map as it was written before it mapped in place."""
     if mapping == "linear":
         lo, hi = values.min(), values.max()
         return (values - lo) / (hi - lo)
@@ -720,7 +725,7 @@ class TestStreamedWrite:
         values = np.random.default_rng(7).standard_normal((n, n)) * 1e-3
         grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, n, n), values)
         csv, pgm = str(tmp_path / "grid.csv"), str(tmp_path / "grid.pgm")
-        csv_peak = traced_peak(lambda: atomic_write_chunks(csv, grid_csv_chunks(grid, ["peak"])))
+        csv_peak = traced_peak(lambda: write_grid_csv(csv, grid, ["peak"]))
         pgm_peak = traced_peak(lambda: atomic_write_chunks(pgm, grid_pgm_chunks(grid, "signed", 16)))
         assert os.path.getsize(csv) > 50e6 and os.path.getsize(pgm) > 2 * n * n
         assert csv_peak <= 16e6
@@ -750,7 +755,7 @@ class TestStreamedWrite:
         values[0, 0] = -0.0
         grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -2.0, 2.0, *shape), values)
         path = str(tmp_path / "out")
-        atomic_write_chunks(path, grid_csv_chunks(grid, ["note"]))
+        write_grid_csv(path, grid, ["note"])
         with open(path, "rb") as fh:
             text = fh.read()
         assert text == grid_to_csv(grid, ["note"])
@@ -839,7 +844,8 @@ class TestStreamedWriteAtomicity:
         self.failing_block(monkeypatch, k, ArithmeticError)
         error = ChildProcessError if k >= 4 else ArithmeticError
         self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), error)
-        self.check(tmp_path, lambda path: atomic_write_chunks(path, grid_csv_chunks(block_grid())), ArithmeticError)
+        monkeypatch.setattr(export, "cpu_count", lambda: 1)
+        self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), ArithmeticError)
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
     def test_write_error_after_some_chunks(self, cpus, tmp_path, monkeypatch, fmt):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from subzurek.cli import PRESETS
 from subzurek.oracle import QuadratureSpec, norm_quadrature
 from subzurek.states import (
     PhysicalConstants,
@@ -12,8 +11,6 @@ from subzurek.states import (
     build_psi,
     eval_psi,
     norm_squared,
-    state_from_text,
-    state_to_text,
 )
 from subzurek.superosc import SuperoscParams, fourier_coeffs
 
@@ -325,68 +322,3 @@ class TestDerivedArrays:
             st.centers[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             st.coeffs[0] = 0.0
-
-
-def _preset_states():
-    out = {}
-    for name, pre in PRESETS.items():
-        constants = PhysicalConstants(hbar=pre["hbar"])
-        if pre["kind"] == "cat":
-            out[name] = build_cat(pre["delta_x"], pre["xi"], constants)
-        else:
-            params = SuperoscParams(pre["n"], pre["alpha"])
-            out[name] = build_psi(params, pre["delta_x"], pre["xi"], constants)
-    out["cat_hbar07"] = build_cat(1.7, 0.3, PhysicalConstants(hbar=0.7))
-    return out
-
-
-def _text(n, *components, normalized=1):
-    lines = ["hbar = 1", f"normalized = {normalized}", f"n_components = {n}"]
-    lines += [f"component_{i} = {c}" for i, c in enumerate(components)]
-    return "\n".join(lines) + "\n"
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        for st in _preset_states().values():
-            back = state_from_text(state_to_text(st))
-            assert back.normalized == st.normalized
-            assert back.constants.hbar == st.constants.hbar
-            assert back.xi == st.xi
-            # tobytes tells -0.0 from 0.0, which == does not
-            assert back.centers.tobytes() == st.centers.tobytes()
-            assert back.coeffs.tobytes() == st.coeffs.tobytes()
-
-    def test_round_trip_keeps_signed_zeros(self):
-        st = StateSpec(centers=[-0.0, 1.0], coeffs=[complex(-0.0, -0.0), complex(1.0, -0.0)], xi=1.0)
-        back = state_from_text(state_to_text(st))
-        assert back.centers.tobytes() == st.centers.tobytes()
-        assert back.coeffs.tobytes() == st.coeffs.tobytes()
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            state_from_text("hbar = 1.0\n")
-
-    def test_component_past_count_rejected(self):
-        text = _text(1, "0 1 1 0", "3 1 1 0")
-        with pytest.raises(ValueError, match="past n_components"):
-            state_from_text(text)
-
-    def test_repeated_key_rejected(self):
-        text = _text(1, "0 1 1 0") + "hbar = 2\n"
-        with pytest.raises(ValueError, match="repeats key 'hbar'"):
-            state_from_text(text)
-
-    def test_unknown_key_rejected(self):
-        text = _text(1, "0 1 1 0") + "width = 5\n"
-        with pytest.raises(ValueError, match=r"unknown keys \['width'\]"):
-            state_from_text(text)
-
-    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
-    def test_normalized_other_than_0_or_1_rejected(self, flag):
-        with pytest.raises(ValueError, match="normalized must be 0 or 1"):
-            state_from_text(_text(1, "0 1 1 0", normalized=flag))
-
-    def test_mixed_xi_rejected(self):
-        with pytest.raises(ValueError, match="mixed xi"):
-            state_from_text(_text(2, "0 1 1 0", "3 0.5 1 0"))

@@ -10,7 +10,6 @@ from subzurek.superosc import (
     eval_f_direct,
     eval_f_fourier,
     fourier_coeffs,
-    local_expansion,
     phase_gradient,
 )
 
@@ -156,27 +155,4 @@ class TestSuperoscillationPresence:
         rate = phase_gradient(params, 0.0)
         assert abs(rate - n * alpha) <= 1e-4 * n * alpha
         if alpha > 1.0:
-            assert rate > params.band_limit
-
-
-class TestLocalExpansion:
-    def test_unity_at_origin(self):
-        assert local_expansion(SuperoscParams(8, 10.0), 0.0) == 1.0 + 0.0j
-
-    def test_local_phase_reads_n_alpha_x(self):
-        val = local_expansion(SuperoscParams(8, 10.0), 0.001)
-        assert abs(cmath.phase(val) - 0.08) < 1e-12
-
-    def test_matches_direct_within_validity_window(self):
-        params = SuperoscParams(8, 10.0)
-        approx = local_expansion(params, 0.001)
-        exact = eval_f_direct(params, 0.001)
-        assert abs(approx - exact) <= 0.01 * abs(exact)
-
-    def test_sharp_variant_tracks_modulus_better(self):
-        params = SuperoscParams(8, 10.0)
-        x = 0.004
-        exact = abs(eval_f_direct(params, x))
-        printed = abs(local_expansion(params, x, sharp=False))
-        sharp = abs(local_expansion(params, x, sharp=True))
-        assert abs(sharp - exact) < abs(printed - exact)
+            assert rate > params.n

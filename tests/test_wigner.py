@@ -36,7 +36,6 @@ from subzurek.wigner import (
     _gram,
     _integrals,
     _pair_sum_complex,
-    compass_mixture,
     cross_state,
     displaced_overlaps,
     eval_cut,
@@ -49,7 +48,6 @@ from subzurek.wigner import (
     purity,
     suggested_window,
     total_integral,
-    wigner_bound,
 )
 
 CONST = PhysicalConstants()
@@ -142,7 +140,7 @@ class TestEvalWigner:
             assert float(residue.max()) <= 1e-12
 
     def test_bounded_by_inverse_pi_hbar(self):
-        bound = wigner_bound(CONST) + 1e-9
+        bound = 1 / (math.pi * CONST.hbar) + 1e-9
         rng = np.random.default_rng(17)
         for st in (fig1_state(), fig2a_state(), build_cat(3.0, 1.0)):
             half = float(np.max(np.abs(st.centers)))
@@ -304,7 +302,7 @@ class TestMarginals:
         source = {
             "fig1": fig1_state,
             "fig2a_cross": lambda: cross_state(fig2a_state()),
-            "compass": lambda: compass_mixture(12.0, 1.0, CONST),
+            "compass": lambda: cross_state(build_cat(12.0 / 2, 1.0, CONST)),
         }[name]()
         L = 12.0 if name == "compass" else 24.0
         grid = eval_grid(source, product_grid(source, L))
@@ -349,7 +347,7 @@ class TestOverlap:
 
     @pytest.mark.parametrize("name", ["fig2a", "compass"])
     def test_purity_matches_grid_self_overlap(self, name):
-        source = fig2a_state() if name == "fig2a" else compass_mixture(12.0, 1.0, CONST)
+        source = fig2a_state() if name == "fig2a" else cross_state(build_cat(12.0 / 2, 1.0, CONST))
         window = product_grid(source, 12.0)
         grid = eval_grid(source, window)
         assert purity(source) == pytest.approx(overlap(grid, grid, CONST), rel=0, abs=1e-12)
@@ -359,7 +357,7 @@ class TestOverlap:
         # one axis stays put along x or p; its Gram product is reused.  The
         # window holds every arm of the shifted copies, so the trapezoid sums
         # converge to the exact plane integrals
-        source = compass_mixture(6.0, 1.0, CONST)
+        source = cross_state(build_cat(6.0 / 2, 1.0, CONST))
         window = GridWindow(-12.0, 12.0, -12.0, 12.0, 241, 241)
         steps = [0.0, 0.3, 1.1, 2.5]
         shifts = [(t, 0.0) if axis == "x" else (0.0, t) for t in steps]
@@ -419,7 +417,7 @@ class TestBasis:
     def test_overlaps_match_ungrouped_gram_sum(self, name, kind):
         # the compass's cat is the pure case of its cross mixture
         if name == "compass":
-            cat = compass_mixture(12.0, 1.0, CONST).terms[0].state
+            cat = build_cat(6.0, 1.0, CONST)
             source = cross_state(cat) if kind == "cross" else cat
         elif name == "generic":
             source = cross_state(generic_state()) if kind == "cross" else generic_state()
@@ -508,7 +506,7 @@ class TestBasis:
     def test_scan_memory_does_not_grow_with_steps(self):
         # the compass has D = 4, so a block holds 8192 shifts; all 100 001 at
         # once would take 12.8 MB for each of _gram's temporaries
-        source = cross_state(compass_mixture(12.0, 1.0, CONST).terms[0].state)
+        source = cross_state(build_cat(6.0, 1.0, CONST))
         shifts = np.repeat(np.linspace(0.0, 2.5, 100_001)[:, None], 2, axis=1)
         assert self._scan_peak(source, shifts) <= 16 * 2**20
 
@@ -600,7 +598,7 @@ class TestSuggestedWindow:
         source = {
             "comb": comb,
             "cross": cross_state(comb),
-            "compass": compass_mixture(7.0, 0.3, constants),
+            "compass": cross_state(build_cat(7.0 / 2, 0.3, constants)),
             "turned_pair": MixtureSpec(terms=(MixtureTerm(pair, 1.0, QUARTER_TURN),)),
         }[name]
         terms = source.terms if isinstance(source, MixtureSpec) else (MixtureTerm(source, 1.0),)
@@ -612,7 +610,7 @@ class TestSuggestedWindow:
 
 class TestCompassMixture:
     def test_arms_at_half_extent(self):
-        mix = compass_mixture(24.0, 1.0, CONST)
+        mix = cross_state(build_cat(24.0 / 2, 1.0, CONST))
         states = [t.state for t in mix.terms]
         assert all(np.ptp(st.centers) == 24.0 for st in states)
         rotations = {t.rotation for t in mix.terms}
