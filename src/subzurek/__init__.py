@@ -45,7 +45,6 @@ from .analysis import (
     ScaleReport,
     central_cut_crossings,
     displacement_sensitivity,
-    half_overlap_displacement,
     overspill_check,
     superosc_scale,
     zurek_scale,
@@ -78,7 +77,6 @@ __all__ = [
     "eval_wigner",
     "finest_fringe",
     "fourier_coeffs",
-    "half_overlap_displacement",
     "marginal_x",
     "norm_quadrature",
     "norm_squared",

@@ -11,9 +11,11 @@ part of the superoscillating f at argument p*dx/hbar, so the zero crossings
 near the origin tighten from h/(2L) to h/(2*L*alpha), and the local patch
 area shrinks to roughly a_Z / alpha^2.  The estimators here measure exactly
 that: crossing positions along a central cut, the recovered alpha, the
-patch-area estimate, and the overspill ratio that decides whether the
-exponentially small central structure is visible at all above the tails of
-the two neighboring Gaussians.
+patch-area estimate, and the overspill ratio of the two neighboring
+components' own Gaussian weight at the origin to |W(0,0)|.  That ratio says
+whether their tails swamp the central value, not whether the value is more
+than float64 roundoff: `analyze --n 20 --alpha 16` reports "ok" while its
+W(0,0) is roundoff (ROADMAP items 1 and 12).
 
 The displacement-sensitivity diagnostic quantifies the flip side: overlap
 decay under phase-space displacement is governed by the envelope set by the
@@ -44,7 +46,6 @@ class ScaleReport:
 
     crossing_spacings are consecutive gaps between detected sign changes;
     alpha_est = (h/(2L)) / min spacing; a_SO_est = (h/(L a)) * (h/(P a)).
-    overspill_lhs/rhs are nan when the check was not run.
     """
 
     L: float
@@ -53,18 +54,10 @@ class ScaleReport:
     alpha_est: float
     a_SO_est: float
     crossing_spacings: tuple[float, ...]
-    overspill_lhs: float = math.nan
-    overspill_rhs: float = math.nan
 
     def __post_init__(self):
         if any(s <= 0.0 for s in self.crossing_spacings):
             raise ValueError("crossing spacings must all be positive")
-
-    @property
-    def overspill_ratio(self) -> float:
-        if math.isnan(self.overspill_lhs) or math.isnan(self.overspill_rhs):
-            return math.nan
-        return self.overspill_lhs / self.overspill_rhs
 
 
 @dataclass(frozen=True)
@@ -111,18 +104,16 @@ def central_cut_crossings(
 ) -> np.ndarray:
     """Zero-crossing positions of W along a cut through the origin.
 
-    axis "p_cut_at_x0" scans W(0, t), "x_cut_at_p0" scans W(t, 0) for t in
+    axis is eval_cut's: "p" scans W(0, t), "x" scans W(t, 0) for t in
     [-window/2, window/2].  Crossings are located by linear interpolation
     between adjacent samples of opposite sign.
     """
-    if axis not in ("p_cut_at_x0", "x_cut_at_p0"):
-        raise ValueError(f"axis must be 'p_cut_at_x0' or 'x_cut_at_p0', got {axis!r}")
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window}")
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
     t = np.linspace(-window / 2.0, window / 2.0, samples)
-    v = eval_cut(source, "p" if axis == "p_cut_at_x0" else "x", t)
+    v = eval_cut(source, axis, t)
     found = crossings_from_samples(t, v)
     if found.size < 2:
         raise ValueError(
@@ -160,12 +151,14 @@ def superosc_scale(
 
 
 def overspill_check(state: StateSpec) -> OverspillResult:
-    """Compare the two neighbor components' Wigner weight at the origin with
-    the full interference value there.
+    """Compare the two neighbor components' own Wigner weight at the origin
+    with the full value there.
 
     lhs is the sum of the two isolated-component (diagonal-pair) kernels of
     the components adjacent to the central one; rhs is |W(0,0)| of the full
-    state.  Emits a warning when the ratio exceeds 0.1 (structure drowned)."""
+    state.  Emits a warning when the ratio exceeds 0.1 (their tails swamp
+    the central value).  A small ratio does not show that rhs is more than
+    float64 roundoff of the interference sum (ROADMAP items 1 and 12)."""
     if state.centers.size < 3:
         raise ValueError(
             "overspill check needs a central component with two adjacent "
@@ -207,14 +200,16 @@ def displacement_sensitivity(source, delta_x: float, delta_p: float) -> float:
 def overlap_decay_scan(
     source,
     direction: tuple[float, float],
-    max_delta: float,
+    max_delta: float | None = None,
     steps: int = 161,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """O(t * direction) for t on a uniform grid in [0, max_delta]."""
+    """O(t * direction) for t uniform in [0, max_delta], by default default_scan_margin(source)."""
     ux, up = direction
     norm = math.hypot(ux, up)
     if norm == 0.0:
         raise ValueError("direction must be a nonzero vector")
+    if max_delta is None:
+        max_delta = default_scan_margin(source)
     if not (math.isfinite(max_delta) and max_delta > 0.0 and steps >= 2):
         raise ValueError(f"scan needs finite max_delta > 0, steps >= 2, got {max_delta}, {steps}")
     ux, up = ux / norm, up / norm
@@ -225,23 +220,7 @@ def overlap_decay_scan(
 
 
 def last_half_crossing(ts: np.ndarray, overlaps: np.ndarray) -> float:
-    """Largest scan position where the overlap curve crosses 1/2 (interpolated)."""
-    below = np.asarray(overlaps) < 0.5
-    flips = np.nonzero(below[:-1] != below[1:])[0]
-    if flips.size == 0:
-        raise ValueError("overlap never crosses 1/2 within the scanned range; widen the scan")
-    i = int(flips[-1])
-    frac = (0.5 - overlaps[i]) / (overlaps[i + 1] - overlaps[i])
-    return float(ts[i] + frac * (ts[i + 1] - ts[i]))
-
-
-def half_overlap_displacement(
-    source,
-    direction: tuple[float, float] = (0.0, 1.0),
-    max_delta: float | None = None,
-    steps: int = 161,
-) -> float:
-    """Largest displacement along the ray at which O(d) still crosses 1/2.
+    """Largest scan position where the overlap curve crosses 1/2 (interpolated).
 
     The overlap of a fringed state oscillates through 1/2 many times; the
     fringe-phase positions of the early dips measure the fringe period, not
@@ -254,10 +233,13 @@ def half_overlap_displacement(
     fig2a along the diagonal.  Look at the scanned curve before comparing
     such values across states.
     """
-    if max_delta is None:
-        max_delta = default_scan_margin(source)
-    ts, ov = overlap_decay_scan(source, direction, max_delta, steps)
-    return last_half_crossing(ts, ov)
+    below = np.asarray(overlaps) < 0.5
+    flips = np.nonzero(below[:-1] != below[1:])[0]
+    if flips.size == 0:
+        raise ValueError("overlap never crosses 1/2 within the scanned range; widen the scan")
+    i = int(flips[-1])
+    frac = (0.5 - overlaps[i]) / (overlaps[i + 1] - overlaps[i])
+    return float(ts[i] + frac * (ts[i + 1] - ts[i]))
 
 
 def default_scan_margin(source) -> float:
@@ -275,16 +257,19 @@ def default_scan_margin(source) -> float:
 # ---------------------------------------------------------------------------
 # report serialization
 
-def report_to_text(report: ScaleReport) -> str:
+def report_to_text(report: ScaleReport, spill: OverspillResult | None = None) -> str:
+    """The report as `key = value` lines; the overspill keys come from
+    spill and are nan when the check was skipped (spill None)."""
+    lhs, rhs, ratio = (math.nan,) * 3 if spill is None else (spill.lhs, spill.rhs, spill.ratio)
     lines = [
         f"L = {report.L:.17g}",
         f"P = {report.P:.17g}",
         f"a_Z = {report.a_Z:.17g}",
         f"alpha_est = {report.alpha_est:.17g}",
         f"a_SO_est = {report.a_SO_est:.17g}",
-        f"overspill_lhs = {report.overspill_lhs:.17g}",
-        f"overspill_rhs = {report.overspill_rhs:.17g}",
-        f"overspill_ratio = {report.overspill_ratio:.17g}",
+        f"overspill_lhs = {lhs:.17g}",
+        f"overspill_rhs = {rhs:.17g}",
+        f"overspill_ratio = {ratio:.17g}",
         "crossing_spacings = " + ",".join(f"{s:.17g}" for s in report.crossing_spacings),
     ]
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,11 +325,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         P = L
         window = constants.h / L
         samples = analysis.recommended_cut_samples(window, L, scenario.alpha, constants)
-        crossings = analysis.central_cut_crossings(state, "p_cut_at_x0", window, samples)
+        crossings = analysis.central_cut_crossings(state, "p", window, samples)
         report = analysis.superosc_scale(crossings, L, P, constants)
+        spill = None
         if state.centers.size >= 3:
             spill = analysis.overspill_check(state)
-            report = replace(report, overspill_lhs=spill.lhs, overspill_rhs=spill.rhs)
             spill_note = (
                 f"overspill ratio = {spill.ratio:.6g} "
                 f"({'ok' if spill.satisfied else 'VIOLATED'})"
@@ -340,7 +340,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise CliError(f"analysis failed: {exc}", EXIT_ANALYSIS) from exc
 
     out = (args.out or (args.preset or "analyze")) + "_report.txt"
-    text = f"# subzurek analyze {scenario.describe()}\n" + analysis.report_to_text(report)
+    text = f"# subzurek analyze {scenario.describe()}\n" + analysis.report_to_text(report, spill)
     export.atomic_write_text(out, text)
     print(f"L = {report.L:.6g}   P = {report.P:.6g}")
     print(f"a_Z = {report.a_Z:.6g}")
@@ -407,8 +407,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args)
     source = scenario.build_source(args.source)
     direction = {"x": (1.0, 0.0), "p": (0.0, 1.0), "diag": (1.0, 1.0)}[args.direction]
-    margin = analysis.default_scan_margin(source) if args.max_delta is None else args.max_delta
-    ts, ov = analysis.overlap_decay_scan(source, direction, margin, args.steps)
+    ts, ov = analysis.overlap_decay_scan(source, direction, args.max_delta, args.steps)
     scale = analysis.last_half_crossing(ts, ov)
     prefix = args.out or (args.preset or "sensitivity")
     header = [

@@ -30,37 +30,27 @@ digits shown) zeroes the point and the trailing zeros "%.17g" drops, and a
 boolean mask of the nonzero bytes packs the rest.  The pack copies each run
 of nonzero bytes on its own, so its time follows the runs as well as the
 bytes: a value with 17 significant digits is one run, and the Fig. 1-2 grids
-average 1.10 runs a value (2.4-2.6 when the sign, the prefix, the point and
-the exponent sat apart).  Only nan, +-inf and values within 1e-9 of a
+average 1.10 runs a value.  Only nan, +-inf and values within 1e-9 of a
 rounding tie outside 1e-6 <= |v| < 1e17 are formatted one by one with
 "%.17g"; inside that range the scaled value is exact, and a tie rounds half
 to even in the block.  The formatter owns a _Workspace of block-sized
 arrays that every step writes into in place, so a block allocates only its
-text and a few index arrays.  Two packs that hold the GIL or build an index
-per byte were measured on the four grids with the earlier record layout
-(2-core x86 VM): bytes.translate took 1.13 s of wall time on two threads
-against 0.95 s, and np.compress 1.98 s against 1.05 s under glibc's default
-malloc settings.
+text and a few index arrays.
 
-The text is formatted on the caller's thread alone.  A helper thread gained
-little, because the pack holds the GIL: it took from 21% less to 10% more
-time than one thread.  write_grid_csv instead forks one child when the
-process may use two CPUs, runs no other Python thread and the grid spans at
-least _FORK_BLOCKS blocks.  The parent streams the header and
-the first half of the blocks into its temp file while the child streams the
-second half into a sibling temp file, with its own workspace, and leaves
-through os._exit whatever happens.  The parent then reaps the child, appends
-the child's file to its own with os.copy_file_range, removes it and renames
-its own onto the target.  On an error or an interrupt the parent kills and
-reaps the child and removes both temp files; a child that fails makes the
-parent raise ChildProcessError.  The bytes are those of the one-process
-stream.  On a 2-core x86 VM shared with other tenants, a fork, exit and
-wait took 2.3-4.6 ms in a 96 MB process, and a block about 1 ms to format.
-In the best of 21 alternating runs under the benchmark's malloc settings,
-the forked write of a 1536-column grid took 1.06 times as long as one
-process at 8 blocks, 0.91 at 12 and 0.81 at 16, so _FORK_BLOCKS is 16.
-The medians spread far wider, because the second CPU was often busy with
-other tenants' work.  Appending a 27 MB half took about 14 ms.
+The pack holds the GIL, so the text is formatted on the caller's thread
+alone.  write_grid_csv instead forks one child when the process may use two
+CPUs, runs no other Python thread and the grid spans at least _FORK_BLOCKS
+blocks.  The parent streams the header and the first half of the blocks
+into its temp file while the child streams the second half into a sibling
+temp file, with its own workspace, and leaves through os._exit whatever
+happens.  The parent then reaps the child, appends the child's file to its
+own with os.copy_file_range, removes it and renames its own onto the
+target.  On an error or an interrupt the parent kills and reaps the child
+and removes both temp files; a child that fails makes the parent raise
+ChildProcessError.  The bytes are those of the one-process stream.  On a
+2-core x86 VM, a fork, exit and wait takes 2-5 ms in a 96 MB process and a
+block about 1 ms to format, so the fork pays from about 12 blocks on and
+_FORK_BLOCKS is 16.  Appending a 27 MB half takes about 14 ms.
 
 A PGM's mapped range is found first without a copy of the grid (logabs
 takes the |v| extremes block by block and the log of the two floored
@@ -619,16 +609,6 @@ def cut_to_csv(
 _PGM_ROWS = 64
 
 
-def _premapped(values: np.ndarray, mapping: str) -> np.ndarray:
-    """A new float array that the linear or logabs map sends affinely to [0,1]."""
-    if mapping == MAP_LINEAR:
-        return np.array(values, dtype=np.float64)
-    unit = np.abs(values, dtype=np.float64)
-    np.maximum(unit, LOG_FLOOR, out=unit)
-    np.log(unit, out=unit)
-    return unit
-
-
 def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
     """The (lo, hi) that the map sends to (0, 1), with no copy of values:
     logabs takes the |v| extremes of each block of rows.
@@ -654,20 +634,21 @@ def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
 
 
 def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.ndarray:
-    """values sent to [0,1] by the map whose range is (lo, hi), as one new array."""
-    if mapping == MAP_SIGNED:
-        if hi == 0.0:
-            return np.full_like(values, 0.5)
-        unit = values + hi
-        unit /= 2.0 * hi
-        return unit
-    unit = _premapped(values, mapping)
+    """values sent to [0,1] by the map whose range is (lo, hi), as one new
+    array: (v - lo) / (hi - lo), where logabs first floors |v| and takes its
+    log.  A zero span sends every value to 0.5 under the signed map and to 0
+    under the others."""
     span = hi - lo
-    if span > 0.0:
+    if not span > 0.0:
+        return np.full(values.shape, 0.5 if mapping == MAP_SIGNED else 0.0)
+    if mapping == MAP_LOGABS:
+        unit = np.abs(values, dtype=np.float64)
+        np.maximum(unit, LOG_FLOOR, out=unit)
+        np.log(unit, out=unit)
         unit -= lo
-        unit /= span
     else:
-        unit.fill(0.0)
+        unit = np.subtract(values, lo, dtype=np.float64)
+    unit /= span
     return unit
 
 

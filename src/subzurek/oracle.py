@@ -218,11 +218,10 @@ def wigner_quadrature(state: StateSpec, x, p, quad: QuadratureSpec | None = None
 
 def norm_quadrature(state: StateSpec, quad: QuadratureSpec | None = None) -> float:
     """Simpson integral of |psi(x)|^2; window must cover all components +-8 xi."""
-    required = float(np.max(np.abs(state.centers))) + 8.0 * state.xi
     if quad is None:
-        n = required_panels(state, 0.0, required)
-        quad = QuadratureSpec(y_halfwidth=required, n_points=n)
-    elif quad.y_halfwidth < required:
+        quad = default_quadrature(state)
+    required = float(np.max(np.abs(state.centers))) + 8.0 * state.xi
+    if quad.y_halfwidth < required:
         raise ValueError(
             f"norm window {quad.y_halfwidth} < required {required} (all components +-8 xi)"
         )

@@ -54,15 +54,13 @@ class StateSpec:
     """Immutable Gaussian superposition of one width xi, plus unit system.
 
     centers and coeffs are stored as read-only float and complex arrays, one
-    coefficient per center.  normalized records whether the coefficients were
-    rescaled so that the exact pairwise-overlap norm is 1.
+    coefficient per center.
     """
 
     centers: np.ndarray
     coeffs: np.ndarray
     xi: float
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    normalized: bool = False
 
     def __post_init__(self):
         centers = _read_only(np.array(self.centers, dtype=float))
@@ -103,7 +101,7 @@ def norm_squared(state: StateSpec) -> float:
 
 def _normalize(state: StateSpec) -> StateSpec:
     scale = 1.0 / math.sqrt(norm_squared(state))
-    return replace(state, coeffs=state.coeffs * scale, normalized=True)
+    return replace(state, coeffs=state.coeffs * scale)
 
 
 def build_cat(
@@ -137,7 +135,7 @@ def build_psi(
 
     Component weights are k_0 at the origin and (-i)^j k_{|j|} / sqrt2
     elsewhere, with k from the coefficient table.  By default the whole state
-    is rescaled to unit norm (flagged); pass normalize=False for the verbatim
+    is rescaled to unit norm; pass normalize=False for the verbatim
     coefficients.
     """
     constants = constants or PhysicalConstants()
@@ -168,46 +166,49 @@ _EXP_ZERO_REACH = math.sqrt(-2.0 * _EXP_ZERO_BELOW) * (1.0 + 1e-12)
 
 
 def eval_psi(state: StateSpec, x):
-    """psi(x); x may be a scalar or ndarray, complex values returned."""
-    xs = np.asarray(x, dtype=float)
+    """psi(x); x may be a scalar or ndarray, complex values returned.
+
+    Each component is evaluated only on the slice of an ascending 1-D array
+    inside its reach, where its exp can be nonzero; past the reach it adds
+    exactly zero.  Such an array (every quadrature lattice) goes straight
+    to that kernel; any other input is flattened, sorted once with a stable
+    argsort and scattered back.  NaN sorts last, outside every reach, so its
+    positions are then set to nan + nan j, as a sum of NaN terms gives."""
+    x = np.asarray(x, dtype=float)
+    xs, order = x, None
+    if not (x.ndim == 1 and bool(np.all(x[1:] >= x[:-1]))):  # NaN fails
+        flat = x.ravel()
+        order = np.argsort(flat, kind="stable")
+        xs = flat[order]
     out = np.zeros(xs.shape, dtype=complex)
     xi = state.xi
     amp = (math.pi * xi**2) ** -0.25
     weights = [coeff * amp for coeff in state.coeffs.tolist()]
-    # on an ascending 1-D input (the quadrature lattices) each component is
-    # evaluated only on the slice inside its reach, where its exp can be
-    # nonzero; past the reach it adds exactly zero.  NaN fails the ascending
-    # test, so such input takes the full loop and the NaN propagates.
-    if xs.ndim == 1 and bool(np.all(xs[1:] >= xs[:-1])):
-        reach = _EXP_ZERO_REACH * xi
-        spans = np.searchsorted(xs, np.add.outer(state.centers, (-reach, reach))).tolist()
-        width = max(hi - lo for lo, hi in spans)
-        g, term = np.empty(width), np.empty(width)
-        re, im = out.real, out.imag
-        # inside a reach every exponent is above -746 (1 + 1e-12)^2, where
-        # exp already gives the masked loop's 0 or subnormal, so no mask
-        # is needed.  c * g has real part c.real * g and imaginary part
-        # c.imag * g, bit for bit.  A part of c that is +-0 would add +-0,
-        # which changes no sum (the sums start at +0 and never reach -0), so
-        # it is skipped: a comb's coefficients are real or imaginary
-        for center, c, (lo, hi) in zip(state.centers.tolist(), weights, spans):
-            gp, tp = g[: hi - lo], term[: hi - lo]
-            np.subtract(xs[lo:hi], center, out=gp)
-            np.square(gp, out=gp)
-            np.divide(gp, -(2.0 * xi**2), out=gp)
-            np.exp(gp, out=gp)
-            for acc, part in ((re, c.real), (im, c.imag)):
-                if part:
-                    np.add(acc[lo:hi], np.multiply(gp, part, out=tp), out=acc[lo:hi])
-    else:
-        g = np.empty(xs.shape)
-        for center, c in zip(state.centers.tolist(), weights):
-            arg = -((xs - center) ** 2) / (2.0 * xi**2)
-            # skip the arguments whose exp is exactly zero; NaN still propagates
-            g.fill(0.0)
-            np.exp(arg, out=g, where=~(arg < _EXP_ZERO_BELOW))
-            out += c * g
-    if np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0):
-        return complex(out)
-    return out
-
+    reach = _EXP_ZERO_REACH * xi
+    spans = np.searchsorted(xs, np.add.outer(state.centers, (-reach, reach))).tolist()
+    width = max(hi - lo for lo, hi in spans)
+    g, term = np.empty(width), np.empty(width)
+    re, im = out.real, out.imag
+    # inside a reach every exponent is above -746 (1 + 1e-12)^2, where exp
+    # gives 0 or a subnormal without the slow path.  c * g has real part
+    # c.real * g and imaginary part c.imag * g, bit for bit.  A part of c
+    # that is +-0 would add +-0, which changes no sum (the sums start at +0
+    # and never reach -0), so it is skipped: a comb's coefficients are real
+    # or imaginary
+    for center, c, (lo, hi) in zip(state.centers.tolist(), weights, spans):
+        gp, tp = g[: hi - lo], term[: hi - lo]
+        np.subtract(xs[lo:hi], center, out=gp)
+        np.square(gp, out=gp)
+        np.divide(gp, -(2.0 * xi**2), out=gp)
+        np.exp(gp, out=gp)
+        for acc, part in ((re, c.real), (im, c.imag)):
+            if part:
+                np.add(acc[lo:hi], np.multiply(gp, part, out=tp), out=acc[lo:hi])
+    if order is None:
+        return out
+    scattered = np.empty_like(out)
+    scattered[order] = out
+    scattered[np.isnan(flat)] = complex(math.nan, math.nan)
+    if x.ndim == 0:
+        return complex(scattered[0])
+    return scattered.reshape(x.shape)

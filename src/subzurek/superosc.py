@@ -149,21 +149,17 @@ def _working_digits(params: SuperoscParams) -> int:
     return max(40, int(params.n * math.log10(params.alpha + 1.0)) + 30)
 
 
-def eval_f_fourier(table: CoeffTable, params: SuperoscParams, x: float) -> complex:
-    """Evaluate the Fourier sum sum_j c_j e^{i(n-2j)x}.
+def eval_f_fourier(table: CoeffTable, x: float) -> complex:
+    """Evaluate the Fourier sum sum_j c_j e^{i(n-2j)x} of table.params.
 
     The partial sums reach |c_j| ~ alpha^n before collapsing to O(|f|), so the
     summation runs in mpmath at a precision that keeps the cancellation noise
     below double-precision roundoff of the result.
     """
-    if table.params != params:
-        raise ValueError(
-            f"coefficient table built for {table.params}, evaluated with {params}"
-        )
     import mpmath as mp  # only this evaluator needs it; the CLI starts without it
 
-    n = params.n
-    with mp.workdps(_working_digits(params)):
+    n = table.params.n
+    with mp.workdps(_working_digits(table.params)):
         xx = mp.mpf(x)
         acc = mp.mpc(0)
         for j, cj in enumerate(table.c_exact):

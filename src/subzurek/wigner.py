@@ -115,12 +115,6 @@ class PhaseSpaceGrid:
                 f"(nx, np) = ({self.window.nx}, {self.window.np})"
             )
 
-    def x_coords(self) -> np.ndarray:
-        return self.window.x_coords()
-
-    def p_coords(self) -> np.ndarray:
-        return self.window.p_coords()
-
 
 @dataclass(frozen=True)
 class MixtureTerm:
@@ -355,8 +349,8 @@ def overlap(grid_a: PhaseSpaceGrid, grid_b: PhaseSpaceGrid, constants: PhysicalC
     """
     if grid_a.window != grid_b.window:
         raise ValueError("overlap requires identical grid lattices")
-    xs = grid_a.x_coords()
-    ps = grid_a.p_coords()
+    xs = grid_a.window.x_coords()
+    ps = grid_a.window.p_coords()
     return 2.0 * math.pi * constants.hbar * _trapz2d(grid_a.values * grid_b.values, xs, ps)
 
 

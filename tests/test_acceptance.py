@@ -138,7 +138,7 @@ def test_criterion_3_coefficient_identities():
             assert abs(table.d_sum_exact() - 1) <= 1e-12
             for x in rng.uniform(-math.pi, math.pi, 100):
                 d = eval_f_direct(params, float(x))
-                f = eval_f_fourier(table, params, float(x))
+                f = eval_f_fourier(table, float(x))
                 rel = abs(d - f) / max(1.0, abs(d))
                 worst_rel = max(worst_rel, rel)
                 assert rel <= 1e-9
@@ -151,7 +151,7 @@ def test_criterion_4_superoscillation_factor_recovery():
     state = build_preset("fig1")
     L = preset_extent("fig1")
     panel = CONST.h / L  # the figure panel width
-    crossings = central_cut_crossings(state, "p_cut_at_x0", panel, 8001)
+    crossings = central_cut_crossings(state, "p", panel, 8001)
     rep = superosc_scale(crossings, L, L, CONST)
     assert abs(rep.alpha_est - 10.0) <= 1.5
     # the bracketed superoscillatory region of length (h/L)/10 spans the
@@ -167,7 +167,7 @@ def test_criterion_5_sub_zurek_scaling():
     for name in ("fig2b", "fig2c"):
         state = build_preset(name)
         L = preset_extent(name)
-        crossings = central_cut_crossings(state, "p_cut_at_x0", CONST.h / L, 8001)
+        crossings = central_cut_crossings(state, "p", CONST.h / L, 8001)
         reports[name] = superosc_scale(crossings, L, L, CONST)
     ratio = reports["fig2c"].a_SO_est / reports["fig2b"].a_SO_est
     target = (10.0 / 16.0) ** 2
@@ -196,8 +196,8 @@ def test_criterion_7_wigner_axioms():
         grid = eval_grid(state, integration_window(state, L))
         total = total_integral(state)
         assert abs(total - 1.0) <= 1e-12, f"{name}: integral {total}"
-        marg = marginal_x(state, grid.x_coords())
-        dens = np.abs(eval_psi(state, grid.x_coords())) ** 2
+        marg = marginal_x(state, grid.window.x_coords())
+        dens = np.abs(eval_psi(state, grid.window.x_coords())) ** 2
         marg_dev = float(np.max(np.abs(marg - dens)))
         assert marg_dev <= 1e-12, f"{name}: marginal deviation {marg_dev:.3e}"
         assert float(np.max(np.abs(grid.values))) <= bound, f"{name}: bound violated"

@@ -9,8 +9,8 @@ from hypothesis import strategies as hst
 from subzurek.analysis import (
     central_cut_crossings,
     crossings_from_samples,
+    default_scan_margin,
     displacement_sensitivity,
-    half_overlap_displacement,
     last_half_crossing,
     overlap_decay_scan,
     overspill_check,
@@ -94,7 +94,7 @@ class TestCrossingDetector:
         # interference cos(6p): zeros at pi/12 + k pi/6, shifted by the
         # diagonal-term tail (cos(6p) = -e^{-9} at a zero, so dp = e^{-9}/6)
         cat = build_cat(3.0, 1.0)
-        crossings = central_cut_crossings(cat, "p_cut_at_x0", 2.0, 8001)
+        crossings = central_cut_crossings(cat, "p", 2.0, 8001)
         k = np.round((crossings - math.pi / 12.0) / (math.pi / 6.0))
         expected = math.pi / 12.0 + k * math.pi / 6.0
         tail_shift = math.exp(-9.0) / 6.0
@@ -106,7 +106,7 @@ class TestCrossingDetector:
         st = psi_state(4, 1.0, dx=3.0, xi=0.25)
         L = 4 * 3.0
         window = CONST.h / L
-        crossings = central_cut_crossings(st, "p_cut_at_x0", window, 4001)
+        crossings = central_cut_crossings(st, "p", window, 4001)
         spacing = np.diff(crossings).min()
         assert spacing == pytest.approx(CONST.h / (2 * L), rel=0.01)
 
@@ -114,14 +114,14 @@ class TestCrossingDetector:
         st = psi_state(8, 10.0)
         L = 24.0
         window = CONST.h / L
-        crossings = central_cut_crossings(st, "p_cut_at_x0", window, 8001)
+        crossings = central_cut_crossings(st, "p", window, 8001)
         spacing = np.diff(crossings).min()
         assert spacing == pytest.approx(CONST.h / (2 * L * 10.0), rel=0.15)
 
     def test_too_few_crossings_rejected(self):
         st = StateSpec(centers=[0.0], coeffs=[1.0 + 0j], xi=1.0, constants=CONST)
         with pytest.raises(ValueError, match="crossings"):
-            central_cut_crossings(st, "p_cut_at_x0", 1.0, 512)
+            central_cut_crossings(st, "p", 1.0, 512)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -134,7 +134,7 @@ class TestSuperoscScale:
         L = L or n * 3.0
         window = CONST.h / L
         samples = 4001 if alpha < 12 else 8001
-        crossings = central_cut_crossings(st, "p_cut_at_x0", window, samples)
+        crossings = central_cut_crossings(st, "p", window, samples)
         return superosc_scale(crossings, L, L, CONST)
 
     def test_fig2b_recovers_alpha_ten(self):
@@ -218,7 +218,6 @@ class TestDisplacementSensitivity:
             coeffs=[1.0 + 0j],
             xi=xi,
             constants=CONST,
-            normalized=True,
         )
         for dx in (0.5, 1.0, 2.0):
             got = displacement_sensitivity(st, dx, 0.0)
@@ -290,10 +289,17 @@ class TestHalfOverlapScale:
             coeffs=[1.0 + 0j],
             xi=xi,
             constants=CONST,
-            normalized=True,
         )
-        scale = half_overlap_displacement(st, direction=(1.0, 0.0), max_delta=3.0)
+        scale = last_half_crossing(*overlap_decay_scan(st, (1.0, 0.0), 3.0))
         assert scale == pytest.approx(xi * math.sqrt(2 * math.log(2)), abs=0.01)
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_scan_reach_defaults_to_the_scan_margin(self, direction):
+        for source in (build_cat(3.0, 1.0), cross_state(psi_state(4, 6.0, dx=6.0, xi=1.0))):
+            ts, ov = overlap_decay_scan(source, direction)
+            assert ts[-1] == default_scan_margin(source)
+            explicit = overlap_decay_scan(source, direction, default_scan_margin(source), 161)
+            assert np.array_equal(ts, explicit[0]) and np.array_equal(ov, explicit[1])
 
     def test_scan_monotone_prefix(self):
         st = build_cat(3.0, 1.0)

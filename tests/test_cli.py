@@ -200,6 +200,25 @@ class TestAnalyze:
         alpha_est = float(out.split("alpha_est = ")[1].split()[0])
         assert abs(alpha_est - 1.0) <= 0.05
 
+    @staticmethod
+    def report_fields(path):
+        return dict(line.split(" = ", 1) for line in path.read_text().splitlines()
+                    if not line.startswith("#"))
+
+    def test_cat_report_writes_nan_overspill(self, tmp_path, monkeypatch):
+        assert run(["analyze", "--preset", "cat", "--out", "c"], tmp_path, monkeypatch) == EXIT_OK
+        fields = self.report_fields(tmp_path / "c_report.txt")
+        assert [fields[k] for k in ("overspill_lhs", "overspill_rhs", "overspill_ratio")] == ["nan"] * 3
+
+    def test_fig1_report_ratio_is_the_printed_ratio(self, tmp_path, monkeypatch, capsys):
+        assert run(["analyze", "--preset", "fig1", "--out", "f"], tmp_path, monkeypatch) == EXIT_OK
+        printed = capsys.readouterr().out.split("overspill ratio = ")[1].split()[0]
+        fields = self.report_fields(tmp_path / "f_report.txt")
+        spill = subzurek.overspill_check(subzurek.build_psi(subzurek.SuperoscParams(8, 10.0), 3.0, 0.25))
+        assert float(fields["overspill_ratio"]) == spill.ratio
+        assert f"{spill.ratio:.6g}" == printed
+        assert float(fields["overspill_lhs"]) == spill.lhs and float(fields["overspill_rhs"]) == spill.rhs
+
     def test_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         # a single Gaussian has no central crossings to analyze
         code = run(

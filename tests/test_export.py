@@ -41,7 +41,6 @@ def small_grid():
         coeffs=[1.0 + 0j],
         xi=1.0,
         constants=PhysicalConstants(),
-        normalized=True,
     )
     return eval_grid(st, GridWindow(-2.0, 2.0, -2.0, 2.0, 9, 7))
 

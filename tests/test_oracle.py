@@ -33,7 +33,6 @@ def single_gaussian(xi=1.0):
         coeffs=[1.0 + 0j],
         xi=xi,
         constants=PhysicalConstants(),
-        normalized=True,
     )
 
 
@@ -187,7 +186,7 @@ class TestSymmetricLattice:
 
 def _complex_exp_parts(state, x, p):
     """Reference oracle: the transform phase as one complex exp over the
-    whole lattice, psi through eval_psi's full loop (2-D input)."""
+    whole lattice, psi through eval_psi's sort-and-scatter path (2-D input)."""
     quad = default_quadrature(state, p)
     hbar = state.constants.hbar
     half = quad.n_points // 2

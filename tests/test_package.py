@@ -1,5 +1,5 @@
-"""The package's public surface: its export list, and the functions that the
-benchmark's layer tracer wraps by name."""
+"""The package's public surface: its export list, the functions that the
+benchmark's layer tracer wraps by name, and the README's library example."""
 
 import importlib
 import importlib.util
@@ -12,7 +12,8 @@ import pytest
 
 import subzurek
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def tracer_targets() -> tuple:
@@ -44,9 +45,26 @@ print(" ".join(sorted(name for name in names if name != "__builtins__")))
 """
 
 
-def test_star_import_in_a_fresh_interpreter():
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that finds the package on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(subzurek.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", STAR_IMPORT], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_star_import_in_a_fresh_interpreter():
+    out = run_fresh(STAR_IMPORT)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.split() == sorted(subzurek.__all__)
+
+
+def readme_library_example() -> str:
+    """The ```python block of README's "## Library" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("\n## ", 1)[0].split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    out = run_fresh(readme_library_example())
+    assert out.returncode == 0, out.stderr

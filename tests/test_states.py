@@ -21,7 +21,6 @@ def single_gaussian(xi=1.0, center=0.0, coeff=1.0):
         coeffs=[complex(coeff)],
         xi=xi,
         constants=PhysicalConstants(),
-        normalized=abs(coeff) == 1.0,
     )
 
 
@@ -59,7 +58,6 @@ class TestBuildCat:
 
     def test_normalized_to_1e10(self):
         cat = build_cat(3.0, 1.0)
-        assert cat.normalized
         assert abs(norm_squared(cat) - 1.0) <= 1e-10
 
     def test_rejects_bad_xi(self):
@@ -122,7 +120,6 @@ class TestBuildPsi:
 
     def test_normalized_flag_and_value(self):
         st = build_psi(SuperoscParams(12, 10.0), 3.0, 0.25)
-        assert st.normalized
         assert abs(norm_squared(st) - 1.0) <= 1e-10
 
     def test_odd_half_n_warns(self):
@@ -232,8 +229,9 @@ class TestEvalPsiBitwise:
         assert np.isnan(got[0].real) and np.isnan(got[0].imag)
         assert np.array_equal(_bits(got[1:]), _bits(_psi_every_exp(state, xs[1:])))
 
-    # ascending 1-D input takes the per-component slice; a reach cut even
-    # 1% short drops the subnormal tails at the outermost centers
+    # every input reaches the per-component slice, ascending 1-D input
+    # directly and the rest sorted and scattered back; a reach cut even 1%
+    # short drops the subnormal tails at the outermost centers
 
     def test_sorted_across_underflow_edge(self, state):
         xs = np.sort(_underflow_edge(state, np.random.default_rng(10)))
@@ -258,6 +256,13 @@ class TestEvalPsiBitwise:
         assert np.isnan(got[k].real) and np.isnan(got[k].imag)
         rest = np.delete(np.arange(xs.size), k)
         assert np.array_equal(_bits(got[rest]), _bits(_psi_every_exp(state, xs)[rest]))
+
+    def test_ascending_input_is_not_sorted(self, state, monkeypatch):
+        xs = np.sort(_underflow_edge(state, np.random.default_rng(14)))
+        expected = _psi_every_exp(state, xs)
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: pytest.fail("ascending input sorted"))
+        assert np.array_equal(_bits(eval_psi(state, xs)), _bits(expected))
+        norm_quadrature(state)
 
     def test_empty_and_single_element(self, state):
         assert eval_psi(state, np.array([])).shape == (0,)

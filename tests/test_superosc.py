@@ -91,7 +91,7 @@ class TestEvalDirect:
         params = SuperoscParams(8, 10.0)
         table = fourier_coeffs(params)
         d = eval_f_direct(params, 0.01)
-        f = eval_f_fourier(table, params, 0.01)
+        f = eval_f_fourier(table, 0.01)
         assert abs(d - f) <= 1e-9 * abs(d)
 
     def test_modulus_never_below_one(self):
@@ -105,25 +105,20 @@ class TestEvalFourier:
     def test_plane_wave_single_term(self):
         params = SuperoscParams(4, 1.0)
         table = fourier_coeffs(params)
-        val = eval_f_fourier(table, params, 1.7)
+        val = eval_f_fourier(table, 1.7)
         assert abs(val - cmath.exp(4j * 1.7)) < 1e-13
 
     def test_unity_at_origin(self):
         params = SuperoscParams(8, 10.0)
         table = fourier_coeffs(params)
-        assert abs(eval_f_fourier(table, params, 0.0) - 1.0) < 1e-13
+        assert abs(eval_f_fourier(table, 0.0) - 1.0) < 1e-13
 
     def test_agrees_with_direct_n12_alpha16(self):
         params = SuperoscParams(12, 16.0)
         table = fourier_coeffs(params)
         d = eval_f_direct(params, 0.05)
-        f = eval_f_fourier(table, params, 0.05)
+        f = eval_f_fourier(table, 0.05)
         assert abs(d - f) <= 1e-9 * abs(d)
-
-    def test_table_params_mismatch_rejected(self):
-        table = fourier_coeffs(SuperoscParams(8, 10.0))
-        with pytest.raises(ValueError, match="table"):
-            eval_f_fourier(table, SuperoscParams(10, 10.0), 0.1)
 
 
 class TestRepresentationEquivalence:
@@ -134,7 +129,7 @@ class TestRepresentationEquivalence:
         rng = np.random.default_rng(1234 + n)
         for x in rng.uniform(-math.pi, math.pi, 100):
             d = eval_f_direct(params, float(x))
-            f = eval_f_fourier(table, params, float(x))
+            f = eval_f_fourier(table, float(x))
             assert abs(d - f) <= 1e-9 * max(1.0, abs(d))
 
     @pytest.mark.parametrize("n,alpha", [(8, 10.0), (12, 16.0)])
@@ -143,8 +138,8 @@ class TestRepresentationEquivalence:
         table = fourier_coeffs(params)
         rng = np.random.default_rng(99)
         for x in rng.uniform(-math.pi, math.pi, 10):
-            a = eval_f_fourier(table, params, float(x))
-            b = eval_f_fourier(table, params, float(x) + 2 * math.pi)
+            a = eval_f_fourier(table, float(x))
+            b = eval_f_fourier(table, float(x) + 2 * math.pi)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 

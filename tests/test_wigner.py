@@ -59,7 +59,6 @@ def single_gaussian(xi=1.0):
         coeffs=[1.0 + 0j],
         xi=xi,
         constants=CONST,
-        normalized=True,
     )
 
 
@@ -306,9 +305,9 @@ class TestMarginals:
         }[name]()
         L = 12.0 if name == "compass" else 24.0
         grid = eval_grid(source, product_grid(source, L))
-        trapz = np.trapezoid(grid.values, grid.p_coords(), axis=1)
-        assert np.max(np.abs(marginal_x(source, grid.x_coords()) - trapz)) <= 1e-12
-        total = np.trapezoid(trapz, grid.x_coords())
+        trapz = np.trapezoid(grid.values, grid.window.p_coords(), axis=1)
+        assert np.max(np.abs(marginal_x(source, grid.window.x_coords()) - trapz)) <= 1e-12
+        total = np.trapezoid(trapz, grid.window.x_coords())
         assert total_integral(source) == pytest.approx(total, rel=0, abs=1e-12)
 
 
@@ -326,7 +325,6 @@ class TestOverlap:
                 coeffs=[1.0 + 0j],
                 xi=xi,
                 constants=CONST,
-                normalized=True,
             )
             window = GridWindow(-9.0, 9.0 + delta, -8.0, 8.0, 385, 321)
             ga = eval_grid(a, window)
