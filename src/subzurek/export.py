@@ -30,12 +30,13 @@ digits shown) zeroes the point and the trailing zeros "%.17g" drops, and a
 boolean mask of the nonzero bytes packs the rest.  The pack copies each run
 of nonzero bytes on its own, so its time follows the runs as well as the
 bytes: a value with 17 significant digits is one run, and the Fig. 1-2 grids
-average 1.10 runs a value.  Only nan, +-inf and values within 1e-9 of a
-rounding tie outside 1e-6 <= |v| < 1e17 are formatted one by one with
-"%.17g"; inside that range the scaled value is exact, and a tie rounds half
-to even in the block.  The formatter owns a _Workspace of block-sized
-arrays that every step writes into in place, so a block allocates only its
-text and a few index arrays.
+average 1.10 runs a value.  A value whose digits the block cannot settle
+is formatted one by one with "%.17g": nan, +-inf, a value within 1e-9 of a
+rounding tie, one whose log10 estimate of its decimal exponent misses next
+to a power of ten, and one whose rounding carries into the next decade.
+None of the Fig. 1-2 grid and cut values is one of these.  The formatter
+owns a _Workspace of block-sized arrays that every step writes into in
+place, so a block allocates only its text and a few index arrays.
 
 The pack holds the GIL, so the text is formatted on the caller's thread
 alone.  write_grid_csv instead forks one child when the process may use two
@@ -149,14 +150,10 @@ def atomic_write_text(path: str, text: str) -> None:
 # and 10^k tabulated as (H + L) 2^E, H in [0.5, 1) and L the next 53 bits,
 # |v| 10^k = (m H + m L) 2^(e+E); Dekker's split gives m H exactly as a
 # double-double, so the scaled value is good to about 2^-104 of itself, far
-# inside the 1e-9 guard that sends a near-tie to the per-value "%.17g", as it
-# does nan and +-inf.  For 0 <= k <= _K_EXACT, 10^k is a double (L = 0) and
-# the scaled value and its fraction are exact, so there a fraction of 0.5 is
-# a true tie and rounds half to even in the block, and no guard is needed.
+# inside the 1e-9 guard that sends a near-tie to the per-value "%.17g".
 
 _K_MIN, _K_MAX = -300, 350  # 10^k for the 16 - X of every float64, with room
 _Q_BITS = 120  # bits of 10^k kept when tabulating H and L
-_K_EXACT = 22  # 5^22 < 2^53 < 5^23
 
 
 @functools.cache
@@ -276,9 +273,9 @@ def _point_moves() -> np.ndarray:
 
 
 class _Workspace:
-    """The block-sized scratch arrays of one formatting thread: every
-    temporary of _format_values and _scaled is written into these in place,
-    block after block."""
+    """The block-sized scratch arrays of one formatting stream (each process
+    of a forked grid CSV has its own): every temporary of _format_values and
+    _scaled is written into these in place, block after block."""
 
     def __init__(self, n: int):
         self.rec = np.empty((n, _WIDTH // 8), np.uint64)  # the value records
@@ -353,7 +350,8 @@ def _trailing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _one_by_one(values: np.ndarray) -> list[bytes]:
     """The "%.17g" text of each value, one Python float at a time: only nan,
-    +-inf and near-ties take this path."""
+    +-inf, near-ties, log10 misses next to a power of ten and carries into
+    the next decade take this path."""
     return [b"%.17g" % v for v in values.tolist()]
 
 
@@ -381,31 +379,17 @@ def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
     m = a
     np.frexp(a, out=(m, e))
     whole, frac = _scaled(m, e, k, ws)
-    # the log10 estimate of X can be one off next to a power of ten
-    if whole.min() < 10**16 or whole.max() >= 10**17:
-        fixes = ((np.flatnonzero(whole < 10**16), 1), (np.flatnonzero(whole >= 10**17), -1))
-        for idx, step in fixes:
-            if idx.size:
-                k[idx] += step
-                whole[idx], frac[idx] = _scaled(m[idx], e[idx], k[idx], _Workspace(idx.size))
     np.subtract(frac, 0.5, out=est)
     np.abs(est, out=est)
-    digits = whole
-    digits += np.greater(frac, 0.5, out=flag)
+    up = np.greater(frac, 0.5, out=flag)
     fallback = np.empty(0, np.intp)
-    if est.min() < 1e-9:
-        # a tie where the scaled value is exact rounds half to even; the
-        # other near-ties are formatted one by one
-        near = np.flatnonzero(est < 1e-9)
-        power = k.take(near) + _K_MIN  # 16 - X
-        exact = (power >= 0) & (power <= _K_EXACT)
-        ties = near[exact & (frac.take(near) == 0.5)]
-        digits[ties] += digits[ties] & 1
-        fallback = near[~exact]
-    if digits.max() == 10**17:
-        carry = np.flatnonzero(digits == 10**17)
-        digits[carry] = 10**16
-        k[carry] -= 1
+    # a near-tie, a log10 estimate of X one off next to a power of ten, or a
+    # carry into the next decade is formatted one by one; a zero, laid out
+    # as 1, has whole = 10^16 and stays
+    if est.min() < 1e-9 or whole.min() < 10**16 or whole.max() >= 10**17 - 1:
+        fallback = np.flatnonzero((est < 1e-9) | (whole < 10**16) | (whole + up >= 10**17))
+    digits = whole
+    digits += up
     if irregular is not None:
         digits[irregular] = 0  # +-0 prints as one digit, X = 0
         k[irregular] = 16 - _K_MIN

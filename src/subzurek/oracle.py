@@ -6,16 +6,18 @@ computed from
     W(x,p) = (1/pi hbar) int psi*(x+y) psi(x-y) e^{2ipy/hbar} dy
 
 by composite Simpson quadrature, with no reference to the pairwise kernel.
-The rule is plain composite Simpson; windows and sample counts follow printed
-criteria instead of adaptivity so failures are auditable.  The lattice is
-symmetric about y = 0, so psi is evaluated once per point and read backwards
-for psi(x-y).  The transform phase is built on the y >= 0 half alone, from
-cos and sin, and mirrored as its conjugate; its bits are those of the complex
-exp over the whole lattice.  The integrand is still formed and summed over
-the whole lattice: its value at -y is the conjugate of its value at +y only
-up to roundoff, so the imaginary part cancels pairwise and only checks
-roundoff.  The kernel works in place and drops each array after its last
-use, so a point holds about 36 bytes per lattice sample at its peak.
+There is one rule, default_quadrature: plain composite Simpson, with the
+window and sample count from printed criteria instead of adaptivity so
+failures are auditable.  Every point and the norm integral use it; no
+caller chooses another.  The lattice is symmetric about y = 0, so psi is
+evaluated once per point and read backwards for psi(x-y).  The transform
+phase is built on the y >= 0 half alone, from cos and sin, and mirrored as
+its conjugate; its bits are those of the complex exp over the whole
+lattice.  The integrand is still formed and summed over the whole lattice:
+its value at -y is the conjugate of its value at +y only up to roundoff, so
+the imaginary part cancels pairwise and only checks roundoff.  The kernel
+works in place and drops each array after its last use, so a point holds
+about 36 bytes per lattice sample at its peak.
 
 wigner_quadrature takes arrays of points.  It fixes every point's rule
 first, so a point outside the oracle's regime raises before any quadrature
@@ -29,6 +31,8 @@ the component centers and width alone: each (j,k) product term is a width-xi
 Gaussian centered at (a_j - a_k)/2, so a half-width of max|center| + 8 xi
 puts the truncated tails below 1e-16 of peak (e^{-64}).  The oscillation
 rate is 2|p|/hbar from the transform phase plus O(1/xi) from the envelopes.
+StateSpec rejects a geometry whose window or width float64 cannot square,
+so the window is finite and positive.
 """
 
 from __future__ import annotations
@@ -56,48 +60,20 @@ class QuadratureSpec:
     y_halfwidth: float
     n_points: int
 
-    def __post_init__(self):
-        if not (self.y_halfwidth > 0.0) or not math.isfinite(self.y_halfwidth):
-            raise ValueError(f"y_halfwidth must be positive, got {self.y_halfwidth}")
-        if self.n_points < 2 or self.n_points % 2 != 0:
-            raise ValueError(f"n_points must be a positive even panel count, got {self.n_points}")
-
-
-def _envelope_rate(state: StateSpec) -> float:
-    # fourth-root-of-f'''' effective rate of the width-xi Gaussian factors
-    return 4.0 / state.xi
-
-
-def required_panels(state: StateSpec, p: float, y_halfwidth: float) -> int:
-    """Panel count from the fringe-resolution criterion, with safety margin."""
-    rate = 2.0 * abs(p) / state.constants.hbar + _envelope_rate(state)
-    base = int(math.ceil(_PANELS_PER_PERIOD * y_halfwidth * rate / math.pi))
-    n = base * _SAFETY
-    n += n % 2
-    n = max(n, 64)
-    if n > _MAX_PANELS:
-        raise ValueError(
-            f"resolution criterion demands {n} panels (p={p}, window={y_halfwidth}); "
-            "point is outside the oracle's practical regime"
-        )
-    return n
-
 
 def default_quadrature(state: StateSpec, p: float = 0.0) -> QuadratureSpec:
-    """Window max|center| + 8 xi; panel count from the fringe criterion."""
+    """Window max|center| + 8 xi; panel count from the fringe-resolution
+    criterion at p, with safety margin (even, as _SAFETY is)."""
     yh = float(np.max(np.abs(state.centers))) + 8.0 * state.xi
-    return QuadratureSpec(y_halfwidth=yh, n_points=required_panels(state, p, yh))
-
-
-def _check_window(state: StateSpec, quad: QuadratureSpec) -> None:
-    # integrand envelope at the window edge, relative to peak: the nearest
-    # (j,k) Gaussian center in y is at most max|center| from the edge
-    spread = quad.y_halfwidth - float(np.max(np.abs(state.centers)))
-    if spread <= 0.0 or math.exp(-(spread**2) / (state.xi**2)) > 1e-16:
+    # 4/xi: the fourth-root-of-f'''' effective rate of the width-xi Gaussians
+    rate = 2.0 * abs(p) / state.constants.hbar + 4.0 / state.xi
+    n = max(int(math.ceil(_PANELS_PER_PERIOD * yh * rate / math.pi)) * _SAFETY, 64)
+    if n > _MAX_PANELS:
         raise ValueError(
-            f"quadrature window {quad.y_halfwidth} too narrow: integrand tail "
-            "exceeds 1e-16 of peak at the boundary"
+            f"resolution criterion demands {n} panels (p={p}, window={yh}); "
+            "point is outside the oracle's practical regime"
         )
+    return QuadratureSpec(y_halfwidth=yh, n_points=n)
 
 
 def _simpson(values: np.ndarray, h: float):
@@ -108,30 +84,9 @@ def _simpson(values: np.ndarray, h: float):
     return (values @ weights) * (h / 3.0)
 
 
-def _rule(state: StateSpec, p: float, quad: QuadratureSpec | None) -> QuadratureSpec:
-    """quad, or the default rule at p, checked against the fringe and window
-    criteria."""
-    if quad is None:
-        quad = default_quadrature(state, p)
-    else:
-        minimum = required_panels(state, p, quad.y_halfwidth) // _SAFETY
-        if quad.n_points < minimum:
-            raise ValueError(
-                f"n_points={quad.n_points} below the fringe-resolution minimum "
-                f"{minimum} for p={p}"
-            )
-    _check_window(state, quad)
-    return quad
-
-
-def wigner_quadrature_parts(
-    state: StateSpec, x: float, p: float, quad: QuadratureSpec | None = None
-) -> tuple[float, float]:
-    """(real, imaginary) Simpson estimates of the transform integral.
-
-    The imaginary part is a pure diagnostic; it cancels analytically.
-    """
-    quad = _rule(state, p, quad)
+def _parts(state: StateSpec, x: float, p: float, quad: QuadratureSpec) -> tuple[float, float]:
+    """(real, imaginary) Simpson estimates of the transform integral under
+    the rule quad."""
     hbar = state.constants.hbar
     half = quad.n_points // 2
     h = 2.0 * quad.y_halfwidth / quad.n_points
@@ -163,11 +118,19 @@ def wigner_quadrature_parts(
     return float(np.real(total)), float(np.imag(total))
 
 
+def wigner_quadrature_parts(state: StateSpec, x: float, p: float) -> tuple[float, float]:
+    """(real, imaginary) Simpson estimates of the transform integral.
+
+    The imaginary part is a pure diagnostic; it cancels analytically.
+    """
+    return _parts(state, x, p, default_quadrature(state, p))
+
+
 def _real_parts(state: StateSpec, xs: list, ps: list, quads: list) -> list[float]:
     """Real Simpson estimates at each point.  With two points and two CPUs
     the caller and one helper thread take points from a shared counter.
-    The helper runs wigner_quadrature_parts alone, so a profiler that wraps
-    the public functions sees nothing on its thread."""
+    The helper runs the private kernel _parts alone, so a profiler that
+    wraps the public functions sees nothing on its thread."""
     values = [0.0] * len(quads)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
@@ -182,7 +145,7 @@ def _real_parts(state: StateSpec, xs: list, ps: list, quads: list) -> list[float
             if i is None:
                 return
             try:
-                values[i] = wigner_quadrature_parts(state, xs[i], ps[i], quads[i])[0]
+                values[i] = _parts(state, xs[i], ps[i], quads[i])[0]
             except BaseException as exc:
                 errors[i] = exc
 
@@ -200,7 +163,7 @@ def _real_parts(state: StateSpec, xs: list, ps: list, quads: list) -> list[float
     return values
 
 
-def wigner_quadrature(state: StateSpec, x, p, quad: QuadratureSpec | None = None):
+def wigner_quadrature(state: StateSpec, x, p):
     """Real part of the quadrature Wigner transform at phase-space points.
 
     Scalars in, float out; arrays broadcast, as in eval_wigner.  Every
@@ -209,22 +172,17 @@ def wigner_quadrature(state: StateSpec, x, p, quad: QuadratureSpec | None = None
     """
     x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
     xs, ps = x.ravel().tolist(), p.ravel().tolist()
-    quads = [_rule(state, pk, quad) for pk in ps]
+    quads = [default_quadrature(state, pk) for pk in ps]
     values = _real_parts(state, xs, ps, quads)
     if x.ndim == 0:
         return values[0]
     return np.array(values).reshape(x.shape)
 
 
-def norm_quadrature(state: StateSpec, quad: QuadratureSpec | None = None) -> float:
-    """Simpson integral of |psi(x)|^2; window must cover all components +-8 xi."""
-    if quad is None:
-        quad = default_quadrature(state)
-    required = float(np.max(np.abs(state.centers))) + 8.0 * state.xi
-    if quad.y_halfwidth < required:
-        raise ValueError(
-            f"norm window {quad.y_halfwidth} < required {required} (all components +-8 xi)"
-        )
+def norm_quadrature(state: StateSpec) -> float:
+    """Simpson integral of |psi(x)|^2 over the default window, which covers
+    every component +-8 xi."""
+    quad = default_quadrature(state)
     y = np.linspace(-quad.y_halfwidth, quad.y_halfwidth, quad.n_points + 1)
     dens = np.abs(eval_psi(state, y)) ** 2
     h = 2.0 * quad.y_halfwidth / quad.n_points

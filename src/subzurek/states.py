@@ -26,6 +26,7 @@ i.e. (-i)^{-j} = conj((-i)^j), which makes coeff_{-j} = conj(coeff_j).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -75,6 +76,15 @@ class StateSpec:
             raise ValueError(f"component centers must be finite, got {centers}")
         if not (self.xi > 0.0) or not math.isfinite(self.xi):
             raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        # the float64 core squares the phase-space extent and the finest width
+        reach = float(np.max(np.abs(centers)))
+        widths = (self.xi, self.constants.hbar / self.xi)
+        extent = reach + 8.0 * max(widths)
+        if not math.isfinite(extent * extent) or min(widths) ** 2 < sys.float_info.min:
+            raise ValueError(
+                f"geometry outside float64's range: max|center| = {reach:.3g}, "
+                f"xi = {self.xi:.3g}, hbar/xi = {widths[1]:.3g}"
+            )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coeffs", coeffs)
 

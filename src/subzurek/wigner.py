@@ -312,9 +312,6 @@ def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:
     C folded into the side with more basis columns, so the product runs at
     rank min(D_x, D_p)."""
     basis_x, basis_p, coeffs = _basis(source)
-    # the grid is allocated before its factors, so their memory returns to
-    # the top of the heap: left as a hole below the grid, it made the CSV
-    # buffer grown next raise the figures peak RSS by 5 MB
     values = np.empty((window.nx, window.np))
     X = _eval_columns(basis_x, window.x_coords())
     P = _eval_columns(basis_p, window.p_coords())

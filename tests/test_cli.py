@@ -253,6 +253,25 @@ class TestNonFiniteGeometry:
         assert "delta_x must be positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # a window or width that float64 cannot square: these printed NaN
+    # grids, or raised an overflow from the oracle or the sampler
+    @pytest.mark.parametrize("argv", [
+        "wigner --preset cat --xi 1e200",
+        "wigner --preset cat --xi 1e-200",
+        "validate --preset cat --xi 1e200",
+        "validate --n 20 --alpha 2 --xi 0.25 --delta-x 1e307",
+        "wigner --preset fig1 --delta-x 1e307",
+        "wigner --preset fig1 --hbar 1e300",
+        "analyze --preset fig1 --xi 1e200",
+        "sensitivity --preset cat --xi 1e200",
+        "validate --n 4 --alpha 2 --xi 1e300 --delta-x 3",
+    ])
+    def test_geometry_beyond_float64_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        code = run(argv.split() + ["--out", "o"], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert "geometry outside float64's range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidate:
     def test_fig1_gates_pass(self, tmp_path, monkeypatch, capsys):

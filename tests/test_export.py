@@ -490,7 +490,7 @@ def one_by_one_calls(monkeypatch) -> list:
 
 class TestNoPerValuePath:
     """Finite values that are not near a rounding tie never take the
-    per-value path, the point among the digits included."""
+    per-value path, the point among the digits included; near-ties do."""
 
     def test_fractional_values_from_ten_to_1e17(self, cpus, monkeypatch):
         rng = np.random.default_rng(16)
@@ -502,9 +502,8 @@ class TestNoPerValuePath:
         seen = one_by_one_calls(monkeypatch)
         assert formatted(rows) == per_value_join(rows)
         # a value whose binary fraction ends just past its 17th digit can be
-        # an exact tie; for 1e-6 <= |v| < 1e17 the scaled value is exact, so
-        # ties and near-ties alike are settled in the block
-        assert seen == []
+        # an exact tie: only such near-ties go one by one
+        assert all(near_tie(v) for v in seen)
 
     def test_exact_ties_from_1e_6_to_1e17(self, monkeypatch):
         # q / 2^(k+1) with q odd scales by 10^k, k = 16 - X, to 5^k q / 2: a
@@ -523,7 +522,8 @@ class TestNoPerValuePath:
         rows = np.stack([np.nextafter(ties, 0.0), ties, -ties, np.nextafter(ties, np.inf)], axis=1)
         seen = one_by_one_calls(monkeypatch)
         assert formatted(rows) == per_value_join(rows)
-        assert seen == []
+        # the ties go one by one, their neighbours stay in the block
+        assert sorted(seen) == sorted(ties.tolist() + (-ties).tolist())
 
     def test_tie_outside_the_exact_range_goes_one_by_one(self, monkeypatch):
         rows = np.array([ONE_BY_ONE_TIES])
@@ -543,6 +543,22 @@ class TestNoPerValuePath:
         logs = np.array(rows)[:, 1]
         assert len(rows) > 100 and np.all((logs > -40.0) & (logs < -10.0))
         assert b"\n".join(lines[3:]) == per_value_join(rows)
+
+    def test_fig2b_grid_and_fig2c_signed_cut(self, tmp_path, monkeypatch):
+        # the fig2c cut's values with |p| >= 10 move the point among the
+        # digits; one CPU keeps the whole grid in this process
+        from subzurek.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(export, "cpu_count", lambda: 1)
+        seen = one_by_one_calls(monkeypatch)
+        assert main(["wigner", "--preset", "fig2b", "--out", "g"]) == 0
+        assert main(["wigner", "--preset", "fig2c", "--cut", "p", "--out", "c"]) == 0
+        assert seen == []
+        for name in ("g.csv", "c_cut.csv"):
+            body = (tmp_path / name).read_bytes().split(b"\n", 3)[3]
+            rows = [[float(v) for v in line.split(b",")] for line in body.splitlines()]
+            assert len(rows) > 100 and body == per_value_join(rows)
 
 
 def mapped(values, mapping):
