@@ -167,22 +167,23 @@ def build_psi(
     return _normalize(state) if normalize else state
 
 
-# float64 exp rounds to exactly +0.0 below about -745.13, but numpy reaches
-# that zero through a slow underflow path
-_EXP_ZERO_BELOW = -746.0
-# |x - center| / xi beyond which the exponent is below _EXP_ZERO_BELOW; the
+# ln(2^-1022): below this exponent float64 exp is subnormal or zero, and
+# numpy reaches those values through a slow underflow path, about 100 times
+# the cost of a normal result
+_EXP_NORMAL_FLOOR = math.log(np.finfo(float).tiny)
+# |x - center| / xi beyond which the exponent is below _EXP_NORMAL_FLOOR; the
 # 1e-12 margin covers the rounding of the exponent near the edge
-_EXP_ZERO_REACH = math.sqrt(-2.0 * _EXP_ZERO_BELOW) * (1.0 + 1e-12)
+_EXP_NORMAL_REACH = math.sqrt(-2.0 * _EXP_NORMAL_FLOOR) * (1.0 + 1e-12)
 
 
 def eval_psi(state: StateSpec, x):
     """psi(x); x may be a scalar or ndarray, complex values returned.
 
     Each component is evaluated only on the slice of an ascending 1-D array
-    inside its reach, where its exp can be nonzero; past the reach it adds
-    exactly zero.  Such an array (every quadrature lattice) goes straight
-    to that kernel; any other input is flattened, sorted once with a stable
-    argsort and scattered back.  NaN sorts last, outside every reach, so its
+    inside its reach, where its exp is a normal float64; past the reach its
+    term, below 2.3e-308 times its weight, is left out.  Such an array
+    (every quadrature lattice) goes straight to that kernel; any other input
+    is flattened, sorted once with a stable argsort and scattered back.  NaN sorts last, outside every reach, so its
     positions are then set to nan + nan j, as a sum of NaN terms gives."""
     x = np.asarray(x, dtype=float)
     xs, order = x, None
@@ -194,13 +195,13 @@ def eval_psi(state: StateSpec, x):
     xi = state.xi
     amp = (math.pi * xi**2) ** -0.25
     weights = [coeff * amp for coeff in state.coeffs.tolist()]
-    reach = _EXP_ZERO_REACH * xi
+    reach = _EXP_NORMAL_REACH * xi
     spans = np.searchsorted(xs, np.add.outer(state.centers, (-reach, reach))).tolist()
     width = max(hi - lo for lo, hi in spans)
     g, term = np.empty(width), np.empty(width)
     re, im = out.real, out.imag
-    # inside a reach every exponent is above -746 (1 + 1e-12)^2, where exp
-    # gives 0 or a subnormal without the slow path.  c * g has real part
+    # inside a reach every exponent is above ln(2^-1022) (1 + 1e-12)^2, so
+    # exp all but never takes its subnormal path.  c * g has real part
     # c.real * g and imaginary part c.imag * g, bit for bit.  A part of c
     # that is +-0 would add +-0, which changes no sum (the sums start at +0
     # and never reach -0), so it is skipped: a comb's coefficients are real

@@ -165,21 +165,43 @@ def pair_kernel(state: StateSpec, j: int, k: int, x, p) -> complex:
     * e^{-p^2 xi^2/hbar^2} * e^{i p (b-a)/hbar} with a, b the centers of j
     and k and xi the state's one width.  Summed over all ordered pairs this
     yields the real W(x,p).  Hermitian symmetry: kernel(j,k) = conj(kernel(k,j)).
+    j and k may be integer arrays that broadcast against x and p.
     """
     xi, hbar = state.xi, state.constants.hbar
     a, b = state.centers[j], state.centers[k]
     mid = 0.5 * (a + b)
     envelope = np.exp(-((x - mid) ** 2) / (xi * xi)) * np.exp(-(p * p) * xi * xi / (hbar * hbar))
     phase = np.exp(1j * p * (b - a) / hbar)
-    return state.coeffs[j] * np.conj(state.coeffs[k]) * envelope * phase / (math.pi * hbar)
+    # np.multiply takes numpy's array loop for scalars too, where * on two
+    # complex scalars rounds differently, so a pair's bits do not depend on
+    # whether j, k, x and p are scalars or arrays
+    weight = np.multiply(state.coeffs[j], np.conj(state.coeffs[k]))
+    return np.multiply(weight * envelope, phase) / (math.pi * hbar)
+
+
+# pair_kernel values per block of ordered pairs in _pair_sum_complex
+_PAIR_ELEMENTS = 1 << 16
 
 
 def _pair_sum_complex(state: StateSpec, x, p):
     """Sum of pair_kernel over all ordered pairs, complex; the imaginary part
     must cancel.  It shares no code with the factored core and is the
-    reference that the core is checked against."""
+    reference that the core is checked against.
+
+    pair_kernel takes the pairs in blocks of _PAIR_ELEMENTS // (number of
+    points) index arrays, and its rows are added j-major from 0, one at a
+    time: the bits of a sum over one pair_kernel call per pair, with
+    temporaries that stay O(_PAIR_ELEMENTS) or one pair's."""
     m = state.centers.size
-    return sum(pair_kernel(state, j, k, x, p) for j in range(m) for k in range(m))
+    points = np.broadcast(x, p)
+    j, k = np.divmod(np.arange(m * m), m)
+    per_block = max(1, _PAIR_ELEMENTS // max(1, points.size))
+    lead = (-1,) + (1,) * points.ndim
+    total = 0
+    for lo in range(0, m * m, per_block):
+        block = slice(lo, lo + per_block)
+        total = sum(pair_kernel(state, j[block].reshape(lead), k[block].reshape(lead), x, p), total)
+    return total
 
 
 # ---------------------------------------------------------------------------

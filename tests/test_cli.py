@@ -315,6 +315,26 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL  marginal vs |psi|^2" in out and "all gates pass" not in out
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs a process that may use two CPUs")
+    def test_stdout_same_on_one_cpu_and_unpinned(self):
+        # a multi-threaded BLAS sums in an order that follows the CPUs the
+        # process may use, so no printed value may come from it; each child
+        # pins itself before numpy loads, and OPENBLAS_NUM_THREADS is unset
+        src = os.path.dirname(os.path.dirname(os.path.abspath(subzurek.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        code = ("import os, sys\n"
+                "if sys.argv[1]: os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+                "from subzurek.cli import main\n"
+                "raise SystemExit(main(['validate', '--preset', 'fig1']))\n")
+        pinned, unpinned = (
+            subprocess.run([sys.executable, "-c", code, cpu], env=env, capture_output=True,
+                           text=True, check=True).stdout
+            for cpu in (str(min(os.sched_getaffinity(0))), "")
+        )
+        assert "all gates pass" in unpinned
+        assert pinned == unpinned
 
     def test_out_of_regime_point_exits_2_before_any_quadrature(self, tmp_path, monkeypatch, capsys):
         # at xi = 0.003 the oracle's panel cap excludes some drawn points; the

@@ -205,6 +205,51 @@ class TestHalfLatticePhase:
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (x, p, got - ref)
 
 
+def _psi_every_exp(state, x):
+    """Reference psi: the per-component loop taking exp of every argument,
+    the subnormal tails past exp's normal floor included."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros(xs.shape, dtype=complex)
+    amp = (math.pi * state.xi**2) ** -0.25
+    for center, coeff in zip(state.centers.tolist(), state.coeffs.tolist()):
+        out += coeff * amp * np.exp(-((xs - center) ** 2) / (2.0 * state.xi**2))
+    return out
+
+
+def _validate_points(state, count=24):
+    """The (x, p) points that validate draws for a state."""
+    rng = np.random.default_rng(20260808)
+    half = float(np.max(np.abs(state.centers)))
+    p_max = 3.5 * state.constants.hbar / state.xi
+    points = [(rng.uniform(-half - 2 * state.xi, half + 2 * state.xi), rng.uniform(-p_max, p_max))
+              for _ in range(count)]
+    return [(float(x), float(p)) for x, p in points]
+
+
+class TestNormalFloorCut:
+    """eval_psi leaves out every term past exp's normal floor; at validate's
+    points no oracle bit changes."""
+
+    STATES = {
+        "fig1": lambda: build_psi(SuperoscParams(8, 10.0), 3.0, 0.25),
+        "fig2b": lambda: build_psi(SuperoscParams(12, 10.0), 3.0, 0.25),
+        "comb_n12_alpha16": lambda: build_psi(SuperoscParams(12, 16.0), 3.0, 0.25),
+        "cat": lambda: build_cat(3.0, 1.0),
+        "comb_n20_alpha16": lambda: build_psi(SuperoscParams(20, 16.0), 3.0, 0.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_oracle_bits_equal_every_exp_psi(self, name, monkeypatch):
+        st = self.STATES[name]()
+        points = _validate_points(st)
+        shipped = [wigner_quadrature_parts(st, x, p) for x, p in points]
+        shipped_norm = norm_quadrature(st)
+        monkeypatch.setattr(oracle_mod, "eval_psi", _psi_every_exp)
+        reference = [wigner_quadrature_parts(st, x, p) for x, p in points]
+        assert np.array_equal(np.array(shipped).view(np.uint64), np.array(reference).view(np.uint64))
+        assert np.float64(shipped_norm).view(np.uint64) == np.float64(norm_quadrature(st)).view(np.uint64)
+
+
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
 def cpus(request, monkeypatch):
     """Run the oracle as on a machine that lets the process use 1 or 2 CPUs."""

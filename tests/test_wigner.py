@@ -89,6 +89,49 @@ class TestPairKernel:
             assert kab == pytest.approx(np.conj(kba), abs=1e-15)
 
 
+def pair_sum_one_call_per_pair(state, x, p):
+    m = state.centers.size
+    return sum(pair_kernel(state, j, k, x, p) for j in range(m) for k in range(m))
+
+
+class TestPairSumBlocks:
+    """_pair_sum_complex calls pair_kernel on blocks of index arrays: the
+    bits of one call per pair, in less memory than every pair at once."""
+
+    STATES = {"fig1": fig1_state, "fig2b": lambda: build_psi(SuperoscParams(12, 10.0), 3.0, 0.25),
+              "generic": lambda: generic_state()}
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_bits_equal_one_call_per_pair(self, name):
+        st = self.STATES[name]()
+        half = float(np.max(np.abs(st.centers)))
+        rng = np.random.default_rng(23)
+        xs = rng.uniform(-half - 2 * st.xi, half + 2 * st.xi, 24)
+        ps = rng.uniform(-3.5 / st.xi, 3.5 / st.xi, 24)
+        got, ref = _pair_sum_complex(st, xs, ps), pair_sum_one_call_per_pair(st, xs, ps)
+        assert got.shape == (24,) and got.tobytes() == ref.tobytes()
+        for x, p in zip(xs.tolist(), ps.tolist()):
+            got, ref = _pair_sum_complex(st, x, p), pair_sum_one_call_per_pair(st, x, p)
+            assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
+
+    def test_257_grid_peak_below_every_pair_at_once(self):
+        # the 257^2 grid of acceptance criterion 9: one complex array over all
+        # m^2 ordered pairs of fig2b would take 178 MB
+        st = self.STATES["fig2b"]()
+        axis = np.linspace(-16.0, 16.0, 257)
+        X, P = np.meshgrid(axis, axis, indexing="ij")
+        every_pair = st.centers.size ** 2 * X.size * 16
+        _pair_sum_complex(st, X[:2], P[:2])  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            _pair_sum_complex(st, X, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert every_pair > 170e6
+        assert peak <= 16e6
+
+
 class TestCatFormula:
     """Two-component pair sum against the printed three-term closed form."""
 
