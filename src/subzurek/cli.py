@@ -302,7 +302,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
                 "use --grid for full-resolution panels",
                 file=sys.stderr,
             )
-    grid = wigner.eval_grid(source, window)
+    grid = wigner.GridRows(source, window)
     wrote = []
     if args.format in ("csv", "both"):
         path = prefix + ".csv"

@@ -5,9 +5,16 @@ and every writer goes through a temp-file-then-rename so no partial output
 survives an error or an interrupt.  Identical inputs produce byte-identical
 files.
 
-A grid export is a stream of chunks written into the temp file one at a
-time, so no whole-file copy is held: a 1536^2 grid peaks at about 3.5 MB of
-Python allocations as CSV and 2 MB as 16-bit PGM.  The CLI writes a grid CSV
+A grid is a PhaseSpaceGrid, whose values are held, or a GridRows, which
+evaluates each block of rows when it is asked for it; both give
+rows(start, stop).  Every grid writer reads a grid in the one partition of
+wigner._row_blocks, max(2, _BLOCK_VALUES // np) rows a block with a one-row
+tail joined to the block before it, so the CSV, the PGM and eval_grid read
+the bits of the same products (see the wigner module).  A grid export is a
+stream of chunks written into the temp file one at a time, so no whole-file
+copy is held, and from a GridRows no whole grid either: a 1536^2 grid peaks
+at about 3.5 MB of Python allocations as CSV and 2 MB as 16-bit PGM, and
+the CLI's 2049 x 8192 PGM at about 2.5 MB.  The CLI writes a grid CSV
 through write_grid_csv, which may split the stream between two processes
 (below), and a PGM as atomic_write_chunks(path, grid_pgm_chunks(...)).
 grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into one
@@ -17,9 +24,9 @@ A temp file is created with O_EXCL under a random .tmp-export- name and mode
 0666, so it gets the mode a plain open() would, 0666 less the umask, without
 the umask being read.
 
-CSV rows are formatted by numpy arithmetic in blocks of about _BLOCK_VALUES
-values: each value's 17 significant digits come from an exact double-double
-product with a table of powers of ten.  Its text is built in a 32-byte
+CSV rows are formatted by numpy arithmetic a block at a time: each value's
+17 significant digits come from an exact double-double product with a
+table of powers of ten.  Its text is built in a 32-byte
 record of four uint64 words, laid out so that the bytes "%.17g" writes for a
 value touch each other: the sign, the "0." or "0.000" prefix and the lead
 digit right-aligned in word 0 (the point after the lead), digits 2-17 in
@@ -44,19 +51,21 @@ CPUs, runs no other Python thread and the grid spans at least _FORK_BLOCKS
 blocks.  The parent streams the header and the first half of the blocks
 into its temp file while the child streams the second half into a sibling
 temp file, with its own workspace, and leaves through os._exit whatever
-happens.  The parent then reaps the child, appends the child's file to its
-own with os.copy_file_range, removes it and renames its own onto the
-target.  On an error or an interrupt the parent kills and reaps the child
+happens.  From a GridRows the child evaluates its own blocks from the small
+factors, so the two processes share no page of the grid.  The parent then
+reaps the child, appends the child's file to its own with
+os.copy_file_range, removes it and renames its own onto the target.  On an error or an interrupt the parent kills and reaps the child
 and removes both temp files; a child that fails makes the parent raise
 ChildProcessError.  The bytes are those of the one-process stream.  On a
 2-core x86 VM, a fork, exit and wait takes 2-5 ms in a 96 MB process and a
 block about 1 ms to format, so the fork pays from about 12 blocks on and
 _FORK_BLOCKS is 16.  Appending a 27 MB half takes about 14 ms.
 
-A PGM's mapped range is found first without a copy of the grid (logabs
-takes the |v| extremes block by block and the log of the two floored
-extremes, as the log is monotonic), then blocks of _PGM_ROWS rows are
-mapped, rounded and cast to samples.
+A PGM reads its grid twice: the mapped range is combined from each block's
+extremes by numpy's min and max, so a nan or a zero gives what whole-array
+reductions give (logabs takes the |v| extremes and the log of the two
+floored extremes, as the log is monotonic); then each block is mapped,
+rounded and cast to samples.
 """
 
 from __future__ import annotations
@@ -76,7 +85,10 @@ from typing import NoReturn
 import numpy as np
 
 from .cpus import cpu_count
-from .wigner import PhaseSpaceGrid
+from .wigner import GridRows, GridWindow, PhaseSpaceGrid, _row_blocks
+
+# what the grid writers read: a window and rows(start, stop)
+Grid = PhaseSpaceGrid | GridRows
 
 LOG_FLOOR = 1e-300
 
@@ -445,9 +457,6 @@ def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
     return chars[np.not_equal(chars, 0, out=ws.mask)]
 
 
-# values per block: enough to amortize the per-block numpy calls, few enough
-# that a block's records and temporaries stay a few MB
-_BLOCK_VALUES = 1 << 14
 # blocks a grid must span before write_grid_csv forks (see the module
 # docstring): a fork costs 2-5 ms, a block about 1 ms to format
 _FORK_BLOCKS = 16
@@ -455,37 +464,32 @@ _FORK_BLOCKS = 16
 _MAX_TEXT = 25
 
 
-def _block_rows(ncols: int) -> int:
-    """Rows per CSV block."""
-    return max(1, _BLOCK_VALUES // ncols)
-
-
-def _csv_blocks(rows: np.ndarray) -> Iterator:
-    """The text of each block of rows, each row a line of %.17g values,
-    formatted in one workspace."""
-    nrows, ncols = rows.shape
-    step = _block_rows(ncols)
-    workspace = _Workspace(min(step, nrows) * ncols)
-    for start in range(0, nrows, step):
-        yield _format_values(rows[start : start + step].ravel(), workspace, ncols)
-
-
-def _csv_chunks(head: bytes, rows: np.ndarray) -> Iterator:
-    """head, then the text of each block of rows."""
+def _csv_chunks(head: bytes, rows, blocks: list[tuple[int, int]], ncols: int) -> Iterator:
+    """head, then the text of each block of rows, each row a line of ncols
+    %.17g values: rows(start, stop) gives the values of a (start, stop) of
+    blocks, and every block is formatted in one workspace."""
     yield head
-    yield from _csv_blocks(np.asarray(rows, dtype=np.float64))
+    workspace = _Workspace(max((stop - start for start, stop in blocks), default=0) * ncols)
+    for start, stop in blocks:
+        yield _format_values(np.asarray(rows(start, stop), dtype=np.float64).ravel(), workspace, ncols)
 
 
-def _csv_bytes(head: bytes, rows: np.ndarray) -> bytearray:
-    """The chunks of _csv_chunks in one buffer, presized at _MAX_TEXT bytes
-    per value and cut to length."""
-    buf = bytearray(len(head) + _MAX_TEXT * np.size(rows))
+def _csv_text(head: bytes, rows, nrows: int, ncols: int) -> bytearray:
+    """The chunks of _csv_chunks over _row_blocks in one buffer, presized at
+    _MAX_TEXT bytes per value and cut to length."""
+    buf = bytearray(len(head) + _MAX_TEXT * nrows * ncols)
     end = 0
-    for chunk in _csv_chunks(head, rows):
+    for chunk in _csv_chunks(head, rows, _row_blocks(nrows, ncols), ncols):
         buf[end : end + len(chunk)] = memoryview(chunk)
         end += len(chunk)
     del buf[end:]
     return buf
+
+
+def _csv_bytes(head: bytes, values: np.ndarray) -> bytearray:
+    """head and the text of the rows of a 2-D array."""
+    values = np.asarray(values, dtype=np.float64)
+    return _csv_text(head, lambda start, stop: values[start:stop], *values.shape)
 
 
 def _header(header_comments: list[str] | None, *lines: str) -> bytes:
@@ -495,19 +499,19 @@ def _header(header_comments: list[str] | None, *lines: str) -> bytes:
     return text.encode("utf-8")
 
 
-def _grid_head(grid: PhaseSpaceGrid, header_comments: list[str] | None) -> bytes:
-    w = grid.window
+def _grid_head(w: GridWindow, header_comments: list[str] | None) -> bytes:
     bounds = ",".join([_fmt(w.x_min), _fmt(w.x_max), _fmt(w.p_min), _fmt(w.p_max), str(w.nx), str(w.np)])
     return _header(header_comments, "x_min,x_max,p_min,p_max,nx,np", bounds)
 
 
-def _write_and_exit(fd: int, rows: np.ndarray) -> NoReturn:
-    """In a forked child: write the text of rows to the file open at fd, then
-    leave through os._exit, with status 0 only if every byte was written."""
+def _write_and_exit(fd: int, grid: Grid, blocks: list[tuple[int, int]]) -> NoReturn:
+    """In a forked child: write the text of the grid's blocks to the file
+    open at fd, then leave through os._exit, with status 0 only if every
+    byte was written."""
     status = 1
     try:
         with open(fd, "wb", closefd=False) as fh:
-            for chunk in _csv_blocks(rows):
+            for chunk in _csv_chunks(b"", grid.rows, blocks, grid.window.np):
                 fh.write(chunk)
         status = 0
     except BaseException:
@@ -532,36 +536,37 @@ def _append(src: int, fh) -> None:
             shutil.copyfileobj(part, fh)
 
 
-def write_grid_csv(path: str, grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> None:
+def write_grid_csv(path: str, grid: Grid, header_comments: list[str] | None = None) -> None:
     """Write grid_to_csv's text to path through a temp file, one block of
     rows at a time.  When the process may use two CPUs, runs no other Python
     thread and the grid spans at least _FORK_BLOCKS blocks, a forked child
-    formats the second half of the rows meanwhile (see the module
-    docstring)."""
-    head = _grid_head(grid, header_comments)
-    rows = np.asarray(grid.values, dtype=np.float64)
-    step = _block_rows(rows.shape[1])
-    blocks = -(-len(rows) // step)
+    evaluates and formats the second half of the blocks meanwhile (see the
+    module docstring)."""
+    w = grid.window
+    head = _grid_head(w, header_comments)
+    blocks = _row_blocks(w.nx, w.np)
     # a fork copies no thread, so a lock another thread holds stays locked
     # in the child
     forkable = threading.active_count() == 1 and hasattr(os, "copy_file_range")
-    if blocks < _FORK_BLOCKS or cpu_count() < 2 or not forkable:
-        atomic_write_chunks(path, _csv_chunks(head, rows))
+    if len(blocks) < _FORK_BLOCKS or cpu_count() < 2 or not forkable:
+        atomic_write_chunks(path, _csv_chunks(head, grid.rows, blocks, w.np))
         return
-    mid = step * (blocks // 2)
+    half = len(blocks) // 2
     with _atomic_file(path) as fh:
         fd, tmp = _create_temp(path)
         pid = 0
         try:
             pid = os.fork()
             if pid == 0:
-                _write_and_exit(fd, rows[mid:])
-            for chunk in _csv_chunks(head, rows[:mid]):
+                _write_and_exit(fd, grid, blocks[half:])
+            for chunk in _csv_chunks(head, grid.rows, blocks[:half], w.np):
                 fh.write(chunk)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = 0
             if status != 0:
-                raise ChildProcessError(f"the forked writer of CSV rows {mid}:{len(rows)} exited with status {status}")
+                raise ChildProcessError(
+                    f"the forked writer of CSV rows {blocks[half][0]}:{w.nx} exited with status {status}"
+                )
             _append(fd, fh)
         finally:
             if pid:
@@ -571,10 +576,11 @@ def write_grid_csv(path: str, grid: PhaseSpaceGrid, header_comments: list[str] |
             os.unlink(tmp)
 
 
-def grid_to_csv(grid: PhaseSpaceGrid, header_comments: list[str] | None = None) -> bytearray:
+def grid_to_csv(grid: Grid, header_comments: list[str] | None = None) -> bytearray:
     """Serialize a grid: comment lines, the six-field lattice header row, then
     nx rows of np comma-separated values (row-major)."""
-    return _csv_bytes(_grid_head(grid, header_comments), grid.values)
+    w = grid.window
+    return _csv_text(_grid_head(w, header_comments), grid.rows, w.nx, w.np)
 
 
 def cut_to_csv(
@@ -589,31 +595,28 @@ def cut_to_csv(
     return _csv_bytes(head, np.column_stack((coords, values)))
 
 
-# rows per PGM block: a block's float copy stays under 1 MB for 1536 columns
-_PGM_ROWS = 64
-
-
-def _mapped_range(values: np.ndarray, mapping: str) -> tuple[float, float]:
-    """The (lo, hi) that the map sends to (0, 1), with no copy of values:
-    logabs takes the |v| extremes of each block of rows.
+def _mapped_range(blocks: Iterable[np.ndarray], mapping: str) -> tuple[float, float]:
+    """The (lo, hi) that the map sends to (0, 1), from the extremes of each
+    block of values (the rows of a 2-D array will do), combined by numpy's
+    min and max, so that a nan propagates as in a whole-array reduction.
 
     linear: [min, max].  signed: symmetric about zero, [-M, M] with
     M = max|v|.  logabs: ln(max(|v|, 1e-300)) then linear; the floor keeps
-    zeros finite."""
-    if mapping == MAP_SIGNED:
-        m = float(np.maximum(values.max(), -values.min()))  # max|v|, no |v| array
-        return (-0.0, 0.0) if m == 0.0 else (-m, m)
-    if mapping == MAP_LINEAR:
-        return float(values.min()), float(values.max())
-    if mapping != MAP_LOGABS:
+    zeros finite, and as the log is monotonic the range is the log of the
+    floored |v| extremes."""
+    if mapping not in VALUE_MAPS:
         raise ValueError(f"mapping must be one of {VALUE_MAPS}, got {mapping!r}")
-    # the log is monotonic, so the range is the log of the floored |v| extremes
     lows, highs = [], []
-    for start in range(0, len(values), _PGM_ROWS):
-        a = np.abs(values[start : start + _PGM_ROWS])
+    for block in blocks:
+        a = np.abs(block) if mapping == MAP_LOGABS else block
         lows.append(a.min())
         highs.append(a.max())
-    lo, hi = np.log(np.maximum([np.min(lows), np.max(highs)], LOG_FLOOR))  # a nan propagates
+    lo, hi = np.min(lows), np.max(highs)
+    if mapping == MAP_SIGNED:
+        m = float(np.maximum(hi, -lo))  # max|v|, no |v| array
+        return (-0.0, 0.0) if m == 0.0 else (-m, m)
+    if mapping == MAP_LOGABS:
+        lo, hi = np.log(np.maximum([lo, hi], LOG_FLOOR))
     return float(lo), float(hi)
 
 
@@ -637,7 +640,7 @@ def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.nda
 
 
 def grid_pgm_chunks(
-    grid: PhaseSpaceGrid,
+    grid: Grid,
     mapping: str = MAP_SIGNED,
     bits: int = 8,
     header_comments: list[str] | None = None,
@@ -647,9 +650,10 @@ def grid_pgm_chunks(
     before the first chunk is asked for."""
     if bits not in (8, 16):
         raise ValueError(f"bits must be 8 or 16, got {bits}")
-    lo, hi = _mapped_range(grid.values, mapping)
-    maxval = (1 << bits) - 1
     w = grid.window
+    blocks = _row_blocks(w.nx, w.np)
+    lo, hi = _mapped_range((grid.rows(start, stop) for start, stop in blocks), mapping)
+    maxval = (1 << bits) - 1
     header = [
         "P5",
         f"# map={mapping} mapped_min={_fmt(lo)} mapped_max={_fmt(hi)} floor={_fmt(LOG_FLOOR)}",
@@ -662,8 +666,8 @@ def grid_pgm_chunks(
 
     def chunks() -> Iterator:
         yield head
-        for start in range(0, len(grid.values), _PGM_ROWS):
-            unit = _map_block(grid.values[start : start + _PGM_ROWS], mapping, lo, hi)
+        for start, stop in blocks:
+            unit = _map_block(grid.rows(start, stop), mapping, lo, hi)
             unit *= maxval
             np.rint(unit, out=unit)
             yield unit.astype(">u2" if bits == 16 else np.uint8)
@@ -672,7 +676,7 @@ def grid_pgm_chunks(
 
 
 def grid_to_pgm(
-    grid: PhaseSpaceGrid,
+    grid: Grid,
     mapping: str = MAP_SIGNED,
     bits: int = 8,
     header_comments: list[str] | None = None,

@@ -36,17 +36,30 @@ per axis, and scatters each column's signed amplitude into a D_x x D_p
 coefficient matrix C, so W = X_b C P_b^T; a column with a phase of its own
 keeps its own basis column, so D <= R.  Every reader uses the basis.  A
 grid is X_b (C P_b^T) or (X_b C) P_b^T, a product at rank min(D_x, D_p),
-and a point or cut a row-wise sum of (X_b C) * P_b.  Every integral of W
-over a whole axis is closed form too, with no grid, window or sampling
-rule: a column integrates to A sigma sqrt(pi) e^{-omega^2 sigma^2/4}
-cos(omega mu + phi) (_integrals), so the position marginal is X_b C times
-the P_b column integrals and the total integral the product of both sides'
-integrals through C.  A phase-space overlap, shifted or not, is
-sum(G_x * (C G_p C^T)) with G_x and G_p the D x D Gram matrices of the
-basis columns against their shifted copies, entries exact Gaussian
-integrals over the real line; a scan costs D^2 of them per step, where the
-column table would take 2 R^2.  The trapezoid overlap of two grids stays
-as the reference that tests compare these exact forms against.
+and a point or cut a row-wise sum of (X_b C) * P_b.
+
+A grid's product is taken in blocks of rows (GridRows), the small factors
+built once over their whole axes, so no nx x np array need be held; the
+CLI streams the blocks into its CSV and PGM writers.  There is one
+partition, _row_blocks: max(2, _BLOCK_VALUES // np) rows a block, a
+one-row tail joined to the block before it, and eval_grid writes the same
+blocks into one array.  The bits of a GEMM can follow the rows it is
+given: a one-row product goes to OpenBLAS's gemv, which rounds differently
+from gemm, and on 37-row windows of fig1 and fig2b with np = 3001 and
+20001, 2- and 5-row blocks moved values by up to 2.3e-18 against one
+whole-grid product.  So no product has one row, and every reader of a grid
+takes the same blocks.
+
+Every integral of W over a whole axis is closed form too, with no grid,
+window or sampling rule: a column integrates to A sigma sqrt(pi)
+e^{-omega^2 sigma^2/4} cos(omega mu + phi) (_integrals), so the position
+marginal is X_b C times the P_b column integrals and the total integral
+the product of both sides' integrals through C.  A phase-space overlap,
+shifted or not, is sum(G_x * (C G_p C^T)) with G_x and G_p the D x D Gram
+matrices of the basis columns against their shifted copies, entries exact
+Gaussian integrals over the real line; a scan costs D^2 of them per step,
+where the column table would take 2 R^2.  The trapezoid overlap of two
+grids stays as the reference that tests compare these exact forms against.
 
 pair_kernel evaluates one ordered pair as written above, and
 _pair_sum_complex sums it over all ordered pairs.  That complex sum shares
@@ -91,6 +104,12 @@ class GridWindow:
                 raise ValueError("grid bounds must be finite")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError("grid window must have positive extent on both axes")
+        # a width past float64's range makes every sample step inf
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.p_max - self.p_min)):
+            raise ValueError(
+                f"grid window outside float64's range: widths {self.x_max - self.x_min:.3g} "
+                f"in x and {self.p_max - self.p_min:.3g} in p"
+            )
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 samples per axis")
 
@@ -114,6 +133,10 @@ class PhaseSpaceGrid:
                 f"value buffer shape {self.values.shape} does not match "
                 f"(nx, np) = ({self.window.nx}, {self.window.np})"
             )
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the buffer, as GridRows.rows gives them."""
+        return self.values[start:stop]
 
 
 @dataclass(frozen=True)
@@ -329,18 +352,56 @@ def eval_wigner(source, x, p):
     return out
 
 
+# values per row block of a grid (see _row_blocks): enough to amortize the
+# per-block numpy calls, few enough that a block's CSV records and
+# temporaries stay a few MB
+_BLOCK_VALUES = 1 << 14
+
+
+def _row_blocks(nrows: int, ncols: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of rows of an nrows x ncols table:
+    max(2, _BLOCK_VALUES // ncols) rows a block, and a one-row tail joined
+    to the block before it, so that no block of a grid is one row."""
+    step = max(2, _BLOCK_VALUES // ncols)
+    starts = list(range(0, nrows, step))
+    if len(starts) > 1 and nrows - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [nrows]))
+
+
+class GridRows:
+    """W of a StateSpec or MixtureSpec on a window, evaluated a block of rows
+    at a time, so no nx x np array is held.
+
+    The factors are built once over their whole axes, C folded into the side
+    with more basis columns so that each product runs at rank
+    min(D_x, D_p): W = L R with L = X_b and R = C P_b^T (D_x x np), or
+    L = X_b C and R = P_b^T.  rows(start, stop) is L[start:stop] @ R.
+    """
+
+    def __init__(self, source, window: GridWindow):
+        basis_x, basis_p, coeffs = _basis(source)
+        X = _eval_columns(basis_x, window.x_coords())
+        P = _eval_columns(basis_p, window.p_coords())
+        if coeffs.shape[0] <= coeffs.shape[1]:
+            self._left, self._right = X, coeffs @ P.T
+        else:
+            self._left, self._right = X @ coeffs, P.T
+        self.window = window
+
+    def rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """W at rows start:stop of the window, into out if given."""
+        return np.matmul(self._left[start:stop], self._right, out=out)
+
+
 def eval_grid(source, window: GridWindow) -> PhaseSpaceGrid:
-    """Fill the lattice with W = X_b C P_b^T for a StateSpec or MixtureSpec,
-    C folded into the side with more basis columns, so the product runs at
-    rank min(D_x, D_p)."""
-    basis_x, basis_p, coeffs = _basis(source)
+    """Fill the lattice with W for a StateSpec or MixtureSpec: GridRows's
+    products over _row_blocks, written into one array, so its bits are
+    those that the grid CSV and PGM writers stream from a GridRows."""
+    grid = GridRows(source, window)
     values = np.empty((window.nx, window.np))
-    X = _eval_columns(basis_x, window.x_coords())
-    P = _eval_columns(basis_p, window.p_coords())
-    if coeffs.shape[0] <= coeffs.shape[1]:
-        np.matmul(X, coeffs @ P.T, out=values)
-    else:
-        np.matmul(X @ coeffs, P.T, out=values)
+    for start, stop in _row_blocks(window.nx, window.np):
+        grid.rows(start, stop, out=values[start:stop])
     return PhaseSpaceGrid(window=window, values=values)
 
 

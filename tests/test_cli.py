@@ -273,6 +273,21 @@ class TestNonFiniteGeometry:
         assert list(tmp_path.iterdir()) == []
 
 
+    # finite grid bounds whose width float64 cannot hold: the first wrote
+    # NaN rows with exit 0, the others raised an OverflowError from the
+    # fringe rule
+    @pytest.mark.parametrize("argv", [
+        "wigner --preset fig1 --grid=-1e308:1e308:3,-1:1:30000",
+        "wigner --preset fig1 --grid=-1:1:3,-1e308:1e308:3",
+        "wigner --preset fig2b --grid=-1e308:1e308:3,-1:1:3 --allow-undersampled",
+    ])
+    def test_grid_width_beyond_float64_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        code = run(argv.split() + ["--format", "both", "--out", "o"], tmp_path, monkeypatch)
+        assert code == EXIT_BAD_PARAMS
+        assert "grid window outside float64's range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
     def test_fig1_gates_pass(self, tmp_path, monkeypatch, capsys):
         assert run(["validate", "--preset", "fig1", "--points", "8"], tmp_path, monkeypatch) == EXIT_OK

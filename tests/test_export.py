@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from subzurek import export
 from subzurek.export import (
     LOG_FLOOR,
-    _BLOCK_VALUES,
     _MAX_TEXT,
     _csv_bytes,
     atomic_write_bytes,
@@ -32,7 +31,7 @@ from subzurek.export import (
     write_grid_csv,
 )
 from subzurek.states import PhysicalConstants, StateSpec
-from subzurek.wigner import GridWindow, PhaseSpaceGrid, eval_grid
+from subzurek.wigner import _BLOCK_VALUES, GridRows, GridWindow, PhaseSpaceGrid, _row_blocks, eval_grid
 
 
 def small_grid():
@@ -389,7 +388,7 @@ class TestTwoThreads:
         # thread in either process
         code = (
             "import os, sys, threading, numpy as np; from subzurek import export, wigner; "
-            "export.cpu_count = lambda: 2; rows = np.ones((2 * export._FORK_BLOCKS, export._BLOCK_VALUES)); "
+            "export.cpu_count = lambda: 2; rows = np.ones((2 * export._FORK_BLOCKS, wigner._BLOCK_VALUES)); "
             "grid = wigner.PhaseSpaceGrid(wigner.GridWindow(-1, 1, -1, 1, *rows.shape), rows); "
             "forked, fork = [], os.fork; os.fork = lambda: forked.append(1) or fork(); "
             "export.write_grid_csv(sys.argv[1], grid); "
@@ -401,7 +400,7 @@ class TestTwoThreads:
         path = str(tmp_path / "grid.csv")
         out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[] 1 1"
-        assert os.path.getsize(path) > 2 * export._FORK_BLOCKS * export._BLOCK_VALUES
+        assert os.path.getsize(path) > 2 * export._FORK_BLOCKS * _BLOCK_VALUES
 
 
 def key_value(neg: int, layout: int, s: int) -> float:
@@ -756,10 +755,14 @@ class TestStreamedWrite:
         assert os.path.getsize(path) > 50e6
         assert peak <= 16e6
 
-    # a window needs two samples per axis, so the one-row cases are the last
-    # PGM block of 129 rows and the two-row grid's CSV block
-    @pytest.mark.parametrize("shape", [(133, 200), (129, 50), (2, 300), (64, 5)],
-                             ids=["ragged-blocks", "one-row-tail", "two-rows", "one-pgm-block"])
+    # the CSV and the PGM read one partition of 16384 // np rows a block, at
+    # least two, and no block of a grid is one row: 163 rows of 200 are
+    # blocks of 81 and 82, the last row joined to the block before it.
+    # (129, 50) was the one-row tail of the PGM's old 64-row blocks; it and
+    # (64, 5) are one block now, and (2, 300) is the two-row grid
+    @pytest.mark.parametrize("shape", [(133, 200), (129, 50), (2, 300), (64, 5), (163, 200)],
+                             ids=["ragged-blocks", "one-row-tail", "two-rows", "one-pgm-block",
+                                  "tail-joined"])
     @pytest.mark.parametrize("zero", [False, True], ids=["values", "all-zero"])
     def test_stream_matches_collectors(self, cpus, tmp_path, shape, zero):
         rng = np.random.default_rng(shape[0])
@@ -789,12 +792,92 @@ class TestStreamedWrite:
                 else:
                     assert body == pgm_reference(values, mapping, bits)
 
+    @pytest.mark.parametrize("mapping", ["signed", "linear", "logabs"])
+    @pytest.mark.parametrize("fill", ["nan", "all-zero"])
+    def test_range_of_blocks_is_the_whole_array_range(self, fill, mapping):
+        # the range is combined from the extremes of four blocks; a nan in one
+        # block, or zeros throughout, give what whole-array reductions give
+        shape = (3 * (_BLOCK_VALUES // 50) + 7, 50)
+        values = np.random.default_rng(5).standard_normal(shape)
+        if fill == "nan":
+            values[shape[0] // 2, 7] = np.nan
+        else:
+            values[:] = 0.0
+        grid = PhaseSpaceGrid(GridWindow(-1.0, 1.0, -1.0, 1.0, *shape), values)
+        assert len(_row_blocks(*shape)) == 4
+        lo, hi = whole_array_range(values, mapping)
+        head = next(grid_pgm_chunks(grid, mapping, 16))
+        assert b" mapped_min=%.17g mapped_max=%.17g " % (lo, hi) in head
+        found = export._mapped_range((grid.rows(a, b) for a, b in _row_blocks(*shape)), mapping)
+        assert np.array_equal(found, (lo, hi), equal_nan=True)
+
+    def test_cli_grid_holds_no_whole_grid(self, tmp_path, monkeypatch):
+        # a 2049 x 8192 grid is 134 MB as one float64 array; the CLI maps the
+        # blocks of a GridRows, each evaluated when it is written
+        from subzurek.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["wigner", "--preset", "fig2b", "--source", "pure", "--grid=-16:16:2049,-4:4:8192",
+                "--format", "pgm", "--out", "big"]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert os.path.getsize(tmp_path / "big.pgm") > 2 * 2049 * 8192
+        assert peak <= 16e6
+
     def test_bad_map_raises_before_any_file(self, tmp_path):
         with pytest.raises(ValueError, match="mapping"):
             atomic_write_chunks(str(tmp_path / "x.pgm"), grid_pgm_chunks(small_grid(), "rainbow"))
         with pytest.raises(ValueError, match="bits"):
             grid_pgm_chunks(small_grid(), "linear", bits=12)
         assert list(tmp_path.iterdir()) == []
+
+
+def whole_array_range(values, mapping):
+    """The mapped range by whole-array reductions of the values."""
+    if mapping == "signed":
+        m = max(values.max(), -values.min())
+        return (-0.0, 0.0) if m == 0.0 else (-m, m)
+    if mapping == "linear":
+        return values.min(), values.max()
+    a = np.abs(values)
+    return tuple(np.log(np.maximum([a.min(), a.max()], LOG_FLOOR)))
+
+
+def csv_values(path) -> np.ndarray:
+    """The values of a grid CSV, each read back by float()."""
+    lines = path.read_bytes().split(b"\n")[:-1]
+    first = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 2
+    return np.array([[float(v) for v in line.split(b",")] for line in lines[first:]])
+
+
+# np = 2, 399, 3001 and 20001 take blocks of 37 (the whole grid), 41, 5 and
+# 2 rows; the bench's 17 x 8000 window takes 2-row blocks and a one-row tail
+PARTITION_WINDOWS = [(37, 2), (37, 399), (37, 3001), (37, 20001), (17, 8000)]
+
+
+@pytest.mark.usefixtures("fork_from_8_blocks")
+@pytest.mark.parametrize("shape", PARTITION_WINDOWS, ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("preset", ["fig1", "fig2b"])
+def test_streams_read_the_bits_of_eval_grid(preset, shape, cpus, tmp_path, monkeypatch):
+    # fig1 folds C into X_b, the fig2b cross into P_b; GEMM's bits can follow
+    # the rows of a product, so eval_grid, the streamed CSV (half of it from
+    # the forked child on two CPUs) and the PGM range must read one partition
+    from subzurek import cli
+
+    scenario = cli.resolve_scenario(cli.build_parser().parse_args(["wigner", "--preset", preset]))
+    source = scenario.build_source("auto")
+    window = GridWindow(-16.0, 16.0, -4.0, 4.0, *shape)
+    values = eval_grid(source, window).values
+    grid = GridRows(source, window)
+    seen = forks(monkeypatch)
+    path = tmp_path / "grid.csv"
+    write_grid_csv(str(path), grid)
+    assert len(seen) == (cpus == 2 and len(_row_blocks(*shape)) >= 8)
+    assert csv_values(path).tobytes() == values.tobytes()
+    for mapping in ("signed", "linear", "logabs"):
+        head = next(grid_pgm_chunks(grid, mapping, 16))
+        assert b" mapped_min=%.17g mapped_max=%.17g " % whole_array_range(values, mapping) in head
 
 
 def block_grid(nblocks: int = 9, ncols: int = 16) -> PhaseSpaceGrid:

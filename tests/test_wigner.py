@@ -28,7 +28,9 @@ from subzurek.wigner import (
     GridWindow,
     MixtureSpec,
     MixtureTerm,
+    GridRows,
     PhaseSpaceGrid,
+    _BLOCK_VALUES,
     _SHIFT_ELEMENTS,
     _basis,
     _columns,
@@ -36,6 +38,7 @@ from subzurek.wigner import (
     _gram,
     _integrals,
     _pair_sum_complex,
+    _row_blocks,
     cross_state,
     displaced_overlaps,
     eval_cut,
@@ -292,6 +295,41 @@ class TestEvalGrid:
             GridWindow(-1.0, 1.0, -1.0, 1.0, 1, 4)
         with pytest.raises(ValueError):
             GridWindow(math.inf, 1.0, -1.0, 1.0, 4, 4)
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1e308, 1e308)],
+                             ids=["x", "p"])
+    def test_rejects_a_width_past_float64(self, bounds):
+        # finite bounds whose difference is inf: every sample step is inf
+        with pytest.raises(ValueError, match="float64's range"):
+            GridWindow(*bounds, 3, 3)
+        GridWindow(*(0.5 * b for b in bounds), 3, 3)  # a width of 1e308 is fine
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 3, 17, 36, 37, 2049])
+@pytest.mark.parametrize("ncols", [2, 399, 3001, 8000, 8192, 20001, _BLOCK_VALUES // 3])
+def test_row_blocks_partition(nrows, ncols):
+    blocks = _row_blocks(nrows, ncols)
+    step = max(2, _BLOCK_VALUES // ncols)
+    assert blocks[0][0] == 0 and blocks[-1][1] == nrows
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    heights = [stop - start for start, stop in blocks]
+    # every block but the last is one step; the last takes a one-row tail
+    assert heights[:-1] == [step] * (len(blocks) - 1)
+    assert 2 <= heights[-1] <= step + 1 or heights == [nrows]
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("preset,kind", [("fig1", "pure"), ("fig2b", "cross")])
+    def test_rows_are_eval_grid_rows(self, preset, kind):
+        # fig1 folds C into X (D_x = 17 > D_p = 9), fig2b into P (38 and 38)
+        source = preset_source(preset, kind)
+        window = GridWindow(-16.0, 16.0, -4.0, 4.0, 17, 8000)
+        d_x, d_p = _basis(source)[2].shape
+        assert (d_x > d_p) == (preset == "fig1")
+        grid = GridRows(source, window)
+        values = eval_grid(source, window).values
+        for start, stop in _row_blocks(17, 8000):
+            assert grid.rows(start, stop).tobytes() == values[start:stop].tobytes()
 
 
 def integration_grid(state, L):
