@@ -18,8 +18,7 @@ the CLI's 2049 x 8192 PGM at about 2.5 MB.  The CLI writes a grid CSV
 through write_grid_csv, which may split the stream between two processes
 (below), and a PGM as atomic_write_chunks(path, grid_pgm_chunks(...)).
 grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into one
-object; the CSV collectors allocate one buffer at _MAX_TEXT bytes per value
-(the longest %.17g text and its separator) and cut it to length at the end.
+object; the CSV collectors append each chunk to one bytearray as it comes.
 A temp file is created with O_EXCL under a random .tmp-export- name and mode
 0666, so it gets the mode a plain open() would, 0666 less the umask, without
 the umask being read.
@@ -46,20 +45,22 @@ owns a _Workspace of block-sized arrays that every step writes into in
 place, so a block allocates only its text and a few index arrays.
 
 The pack holds the GIL, so the text is formatted on the caller's thread
-alone.  write_grid_csv instead forks one child when the process may use two
-CPUs, runs no other Python thread and the grid spans at least _FORK_BLOCKS
-blocks.  The parent streams the header and the first half of the blocks
-into its temp file while the child streams the second half into a sibling
-temp file, with its own workspace, and leaves through os._exit whatever
-happens.  From a GridRows the child evaluates its own blocks from the small
-factors, so the two processes share no page of the grid.  The parent then
-reaps the child, appends the child's file to its own with
-os.copy_file_range, removes it and renames its own onto the target.  On an error or an interrupt the parent kills and reaps the child
-and removes both temp files; a child that fails makes the parent raise
-ChildProcessError.  The bytes are those of the one-process stream.  On a
-2-core x86 VM, a fork, exit and wait takes 2-5 ms in a 96 MB process and a
-block about 1 ms to format, so the fork pays from about 12 blocks on and
-_FORK_BLOCKS is 16.  Appending a 27 MB half takes about 14 ms.
+alone.  write_grid_csv instead forks one child on Linux when the process may
+use two CPUs, runs no other Python thread and the grid spans at least
+_FORK_BLOCKS blocks.  The parent streams the header and the first half of
+the blocks into its temp file while the child streams the second half, with
+its own workspace, into an unnamed temp file (tempfile.TemporaryFile, made
+with O_TMPFILE) and leaves through os._exit whatever happens.  From a
+GridRows the child evaluates its own blocks from the small factors, so the
+two processes share no page of the grid.  The parent then reaps the child,
+copies the child's file onto the end of its own in bounded chunks and
+renames its own onto the target.  On an error or an interrupt the parent
+kills and reaps the child and removes its temp file; a child that fails
+makes the parent raise ChildProcessError.  The bytes are those of the
+one-process stream.  On a 2-core x86 VM, a fork, exit and wait takes 2-5 ms
+in a 96 MB process and a block about 1 ms to format, so the fork pays from
+about 12 blocks on and _FORK_BLOCKS is 16.  Copying the 27 MB half of
+a fig2b grid from the page cache takes about 4 ms.
 
 A PGM reads its grid twice: the mapped range is combined from each block's
 extremes by numpy's min and max, so a nan or a zero gives what whole-array
@@ -71,12 +72,13 @@ rounded and cast to samples.
 from __future__ import annotations
 
 import contextlib
-import errno
 import functools
 import math
 import os
 import shutil
 import signal
+import sys
+import tempfile
 import threading
 import traceback
 from collections.abc import Iterable, Iterator
@@ -102,25 +104,21 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _create_temp(path: str) -> tuple[int, str]:
-    """Create and open a new file under a random .tmp-export- name beside
-    path.  O_EXCL with mode 0666 gives it the mode a plain open() would,
-    0666 less the umask, which the rename keeps."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator:
+    """A binary file object on a new file under a random .tmp-export- name
+    beside path, renamed onto path when the block ends and removed if it
+    raises or is interrupted.  O_EXCL with mode 0666 gives the file the mode
+    a plain open() would, 0666 less the umask, which the rename keeps."""
     directory = os.path.dirname(os.path.abspath(path))
     flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     while True:
         tmp = os.path.join(directory, ".tmp-export-" + os.urandom(6).hex())
         try:
-            return os.open(tmp, flags, 0o666), tmp
+            fd = os.open(tmp, flags, 0o666)
+            break
         except FileExistsError:
             continue
-
-
-@contextlib.contextmanager
-def _atomic_file(path: str) -> Iterator:
-    """A binary file object on a temp file beside path, renamed onto path
-    when the block ends and removed if it raises or is interrupted."""
-    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -460,8 +458,6 @@ def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
 # blocks a grid must span before write_grid_csv forks (see the module
 # docstring): a fork costs 2-5 ms, a block about 1 ms to format
 _FORK_BLOCKS = 16
-# the longest %.17g text, "-1.2345678901234567e-308", and its separator
-_MAX_TEXT = 25
 
 
 def _csv_chunks(head: bytes, rows, blocks: list[tuple[int, int]], ncols: int) -> Iterator:
@@ -474,22 +470,12 @@ def _csv_chunks(head: bytes, rows, blocks: list[tuple[int, int]], ncols: int) ->
         yield _format_values(np.asarray(rows(start, stop), dtype=np.float64).ravel(), workspace, ncols)
 
 
-def _csv_text(head: bytes, rows, nrows: int, ncols: int) -> bytearray:
-    """The chunks of _csv_chunks over _row_blocks in one buffer, presized at
-    _MAX_TEXT bytes per value and cut to length."""
-    buf = bytearray(len(head) + _MAX_TEXT * nrows * ncols)
-    end = 0
-    for chunk in _csv_chunks(head, rows, _row_blocks(nrows, ncols), ncols):
-        buf[end : end + len(chunk)] = memoryview(chunk)
-        end += len(chunk)
-    del buf[end:]
-    return buf
-
-
-def _csv_bytes(head: bytes, values: np.ndarray) -> bytearray:
-    """head and the text of the rows of a 2-D array."""
-    values = np.asarray(values, dtype=np.float64)
-    return _csv_text(head, lambda start, stop: values[start:stop], *values.shape)
+def _joined(chunks: Iterable) -> bytearray:
+    """The bytes-like chunks in one buffer, each appended as it comes."""
+    text = bytearray()
+    for chunk in chunks:
+        text += memoryview(chunk)  # += of an ndarray would broadcast, not append
+    return text
 
 
 def _header(header_comments: list[str] | None, *lines: str) -> bytes:
@@ -520,45 +506,29 @@ def _write_and_exit(fd: int, grid: Grid, blocks: list[tuple[int, int]]) -> NoRet
         os._exit(status)
 
 
-def _append(src: int, fh) -> None:
-    """Append the whole file open at src to the binary file object fh."""
-    fh.flush()
-    offset = 0
-    try:
-        while copied := os.copy_file_range(src, fh.fileno(), 1 << 30, offset):
-            offset += copied
-    except OSError as exc:
-        # a file system or sandbox without the call: copy through user space
-        if exc.errno not in (errno.ENOSYS, errno.EPERM, errno.EOPNOTSUPP, errno.EXDEV, errno.EINVAL):
-            raise
-        with open(src, "rb", closefd=False) as part:
-            part.seek(offset)
-            shutil.copyfileobj(part, fh)
-
-
 def write_grid_csv(path: str, grid: Grid, header_comments: list[str] | None = None) -> None:
     """Write grid_to_csv's text to path through a temp file, one block of
-    rows at a time.  When the process may use two CPUs, runs no other Python
-    thread and the grid spans at least _FORK_BLOCKS blocks, a forked child
-    evaluates and formats the second half of the blocks meanwhile (see the
-    module docstring)."""
+    rows at a time.  On Linux, when the process may use two CPUs, runs no
+    other Python thread and the grid spans at least _FORK_BLOCKS blocks, a
+    forked child evaluates and formats the second half of the blocks
+    meanwhile (see the module docstring)."""
     w = grid.window
     head = _grid_head(w, header_comments)
     blocks = _row_blocks(w.nx, w.np)
     # a fork copies no thread, so a lock another thread holds stays locked
-    # in the child
-    forkable = threading.active_count() == 1 and hasattr(os, "copy_file_range")
+    # in the child; Windows has no fork, and macOS's system frameworks are
+    # not safe to use in a forked child
+    forkable = threading.active_count() == 1 and sys.platform == "linux"
     if len(blocks) < _FORK_BLOCKS or cpu_count() < 2 or not forkable:
         atomic_write_chunks(path, _csv_chunks(head, grid.rows, blocks, w.np))
         return
     half = len(blocks) // 2
-    with _atomic_file(path) as fh:
-        fd, tmp = _create_temp(path)
+    with _atomic_file(path) as fh, tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as part:
         pid = 0
         try:
             pid = os.fork()
             if pid == 0:
-                _write_and_exit(fd, grid, blocks[half:])
+                _write_and_exit(part.fileno(), grid, blocks[half:])
             for chunk in _csv_chunks(head, grid.rows, blocks[:half], w.np):
                 fh.write(chunk)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -567,20 +537,19 @@ def write_grid_csv(path: str, grid: Grid, header_comments: list[str] | None = No
                 raise ChildProcessError(
                     f"the forked writer of CSV rows {blocks[half][0]}:{w.nx} exited with status {status}"
                 )
-            _append(fd, fh)
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
         finally:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            os.close(fd)
-            os.unlink(tmp)
 
 
 def grid_to_csv(grid: Grid, header_comments: list[str] | None = None) -> bytearray:
     """Serialize a grid: comment lines, the six-field lattice header row, then
     nx rows of np comma-separated values (row-major)."""
     w = grid.window
-    return _csv_text(_grid_head(w, header_comments), grid.rows, w.nx, w.np)
+    return _joined(_csv_chunks(_grid_head(w, header_comments), grid.rows, _row_blocks(w.nx, w.np), w.np))
 
 
 def cut_to_csv(
@@ -592,7 +561,8 @@ def cut_to_csv(
 ) -> bytearray:
     """Serialize a 1-D profile as '<axis>,<value_label>' rows."""
     head = _header(header_comments, f"{axis},{value_label}")
-    return _csv_bytes(head, np.column_stack((coords, values)))
+    rows = np.column_stack((coords, values))
+    return _joined(_csv_chunks(head, lambda start, stop: rows[start:stop], _row_blocks(*rows.shape), 2))
 
 
 def _mapped_range(blocks: Iterable[np.ndarray], mapping: str) -> tuple[float, float]:
