@@ -15,7 +15,7 @@ key is a flag name written with `_` or `-`.  A line is read as the flag
 choices, and argparse's prefix matching of flag names.  allow_undersampled
 takes true or false; a config file cannot name another one.  The resolved
 configuration is echoed into every output header.  All file writes are
-atomic (temp + rename) and byte-deterministic.
+atomic (a temp file put in place when complete) and byte-deterministic.
 
 Exit codes: 0 ok, 2 invalid parameters, 3 undersampled grid forced without
 --allow-undersampled, 4 analysis failure, 5 validation gate failure.

@@ -679,6 +679,18 @@ class TestPgmInPlace:
         assert grid.values.tobytes() == before.tobytes()
 
 
+def skip_without_exchange(directory):
+    """Skip unless renameat2(RENAME_EXCHANGE) swaps two files in directory."""
+    a, b = directory / "probe-a", directory / "probe-b"
+    a.write_text("a")
+    b.write_text("b")
+    swapped = export._exchanged(str(a), str(b))
+    a.unlink()
+    b.unlink()
+    if not swapped:
+        pytest.skip("no renameat2(RENAME_EXCHANGE) on this platform or filesystem")
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = str(tmp_path / "out.txt")
@@ -687,6 +699,87 @@ class TestAtomicWrite:
         with open(path) as fh:
             assert fh.read() == "two\n"
         assert [p for p in os.listdir(tmp_path)] == ["out.txt"]
+
+    def test_same_bytes_without_the_swap(self, tmp_path, monkeypatch):
+        # a libc without renameat2: a new path and a rewrite both take
+        # os.replace and write what the swap writes
+        payloads = (b"one\n", b"\0two\n" * 1000)
+        swapped = tmp_path / "swap"
+        renamed = tmp_path / "rename"
+        swapped.mkdir()
+        renamed.mkdir()
+        for payload in payloads:
+            atomic_write_bytes(str(swapped / "out.bin"), payload)
+        monkeypatch.setattr(export, "_renameat2", lambda: None)
+        for payload in payloads:
+            atomic_write_bytes(str(renamed / "out.bin"), payload)
+            assert (renamed / "out.bin").read_bytes() == payload
+        assert (renamed / "out.bin").read_bytes() == (swapped / "out.bin").read_bytes()
+        assert [p.name for p in renamed.iterdir()] == ["out.bin"]
+        assert (renamed / "out.bin").stat().st_mode == (swapped / "out.bin").stat().st_mode
+
+    def test_rewrite_takes_the_swap(self, tmp_path, monkeypatch):
+        # an existing regular file is swapped, never renamed over
+        skip_without_exchange(tmp_path)
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "one\n")
+
+        def refused(src, dst):
+            raise AssertionError("os.replace called")
+
+        monkeypatch.setattr(os, "replace", refused)
+        atomic_write_text(str(path), "two\n")
+        assert path.read_text() == "two\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_directory_target_is_left_alone(self, tmp_path):
+        # an exchange would move the directory to the temp name and put the
+        # file in its place
+        target = tmp_path / "d.csv"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n")
+        with pytest.raises(IsADirectoryError):
+            atomic_write_text(str(target), "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept\n"
+
+    def test_symlink_target_is_replaced_as_a_link(self, tmp_path):
+        pointee, link = tmp_path / "pointee.txt", tmp_path / "out.txt"
+        pointee.write_text("old\n")
+        link.symlink_to(pointee)
+        atomic_write_text(str(link), "new\n")
+        assert not link.is_symlink()
+        assert link.read_text() == "new\n"
+        assert pointee.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "pointee.txt"]
+
+    def test_hard_link_keeps_the_old_bytes(self, tmp_path):
+        path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+        atomic_write_text(str(path), "old\n")
+        os.link(path, other)
+        atomic_write_text(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert other.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt", "out.txt"]
+
+    def test_interrupt_after_the_swap(self, tmp_path, monkeypatch):
+        # the temp name holds the previous version after the swap, and the
+        # interrupt's cleanup removes it
+        skip_without_exchange(tmp_path)
+        swap = export._exchanged
+
+        def interrupted(tmp, path):
+            assert swap(tmp, path)
+            raise KeyboardInterrupt
+
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "old\n")
+        monkeypatch.setattr(export, "_exchanged", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_text(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_no_partial_file_on_error(self, tmp_path):
         target_dir = tmp_path / "missing"
