@@ -250,7 +250,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     lines.append(f"# sum_c = {float(c_sum):.17g} (exact {c_sum})")
     lines.append(f"# sum_d = {float(d_sum):.17g} (exact {d_sum})")
     text = "\n".join(lines) + "\n"
-    out = (args.out or "coeffs") + ".csv"
+    out = (args.out or (args.preset or "coeffs")) + "_coeffs.csv"
     export.atomic_write_text(out, text)
     print(f"wrote {out}  sum_c={float(c_sum):.17g} sum_d={float(d_sum):.17g}")
     return EXIT_OK

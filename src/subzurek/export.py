@@ -108,7 +108,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from .cpus import cpu_count
 from .wigner import GridRows, GridWindow, PhaseSpaceGrid, _row_blocks
 
 # what the grid writers read: a window and rows(start, stop)
@@ -511,6 +510,15 @@ def _format_values(v: np.ndarray, ws: _Workspace, ncols: int) -> np.ndarray:
 # blocks a grid must span before write_grid_csv forks (see the module
 # docstring): a fork costs 2-5 ms, a block about 1 ms to format
 _FORK_BLOCKS = 16
+
+
+def cpu_count() -> int:
+    """CPUs in this process's affinity mask; a CPU quota is not seen here.
+    write_grid_csv forks only when this is at least 2: on one CPU the child
+    would only add the cost of the fork and of appending its half."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _csv_chunks(head: bytes, rows, blocks: list[tuple[int, int]], ncols: int) -> Iterator:

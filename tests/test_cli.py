@@ -54,7 +54,7 @@ class TestPresetFidelity:
 class TestCoeffs:
     def test_plane_wave_table(self, tmp_path, monkeypatch):
         assert run(["coeffs", "--n", "4", "--alpha", "1", "--out", "t"], tmp_path, monkeypatch) == EXIT_OK
-        lines = (tmp_path / "t.csv").read_text().strip().split("\n")
+        lines = (tmp_path / "t_coeffs.csv").read_text().strip().split("\n")
         rows = [l for l in lines if not l.startswith("#") and not l.startswith("j,")]
         c_vals = [float(r.split(",")[1]) for r in rows]
         assert c_vals == [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -62,20 +62,29 @@ class TestCoeffs:
     def test_hand_expanded_n2_alpha3(self, tmp_path, monkeypatch):
         assert run(["coeffs", "--n", "2", "--alpha", "3", "--out", "t"], tmp_path, monkeypatch) == EXIT_OK
         rows = [
-            l for l in (tmp_path / "t.csv").read_text().strip().split("\n")
+            l for l in (tmp_path / "t_coeffs.csv").read_text().strip().split("\n")
             if not l.startswith("#") and not l.startswith("j,")
         ]
         assert [float(r.split(",")[1]) for r in rows] == [4.0, -4.0, 1.0]
 
     def test_sum_identity_in_footer(self, tmp_path, monkeypatch):
         assert run(["coeffs", "--n", "8", "--alpha", "10", "--out", "t"], tmp_path, monkeypatch) == EXIT_OK
-        text = (tmp_path / "t.csv").read_text()
+        text = (tmp_path / "t_coeffs.csv").read_text()
         assert "# sum_c = 1 (exact 1)" in text
         assert "# sum_d = 1 (exact 1)" in text
 
     def test_invalid_parameters_exit_2(self, tmp_path, monkeypatch, capsys):
         assert run(["coeffs", "--n", "7", "--alpha", "2"], tmp_path, monkeypatch) == EXIT_BAD_PARAMS
         assert "error:" in capsys.readouterr().err
+
+    def test_same_out_as_wigner_leaves_both_files(self, tmp_path, monkeypatch):
+        args = ["--preset", "fig2a", "--out", "f"]
+        small = ["--grid=-4:4:33,-4:4:33", "--allow-undersampled"]
+        assert run(["wigner", *args, *small], tmp_path, monkeypatch) == EXIT_OK
+        grid = (tmp_path / "f.csv").read_bytes()
+        assert run(["coeffs", *args], tmp_path, monkeypatch) == EXIT_OK
+        assert (tmp_path / "f.csv").read_bytes() == grid
+        assert (tmp_path / "f_coeffs.csv").read_text().startswith("# subzurek coeffs n=4 ")
 
 
 class TestWigner:
@@ -352,15 +361,16 @@ class TestValidate:
         assert pinned == unpinned
 
     def test_out_of_regime_point_exits_2_before_any_quadrature(self, tmp_path, monkeypatch, capsys):
-        # at xi = 0.003 the oracle's panel cap excludes some drawn points; the
-        # first of them by index is named, and no psi is evaluated first
+        # at xi = 0.003 and delta_x = 160 the oracle's panel cap excludes
+        # some drawn points; the first of them by index is named, and no psi
+        # is evaluated first
         calls = []
         monkeypatch.setattr(oracle, "eval_psi", lambda *a: calls.append(a))
-        code = run(["validate", "--n", "12", "--alpha", "10", "--xi", "0.003", "--delta-x", "3"],
+        code = run(["validate", "--n", "12", "--alpha", "10", "--xi", "0.003", "--delta-x", "160"],
                    tmp_path, monkeypatch)
         assert code == EXIT_BAD_PARAMS
         err = capsys.readouterr().err
-        assert "demands 4701408 panels (p=933.8330396120466, window=18.024)" in err
+        assert "demands 4401038 panels (p=933.8330396120466, window=960.024)" in err
         assert calls == []
 
 
