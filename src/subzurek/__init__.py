@@ -43,10 +43,12 @@ from .oracle import QuadratureSpec, default_quadrature, norm_quadrature, wigner_
 from .analysis import (
     OverspillResult,
     ScaleReport,
+    analyze,
     central_cut_crossings,
     displacement_sensitivity,
     overspill_check,
     superosc_scale,
+    validate_gates,
     zurek_scale,
 )
 
@@ -64,6 +66,7 @@ __all__ = [
     "ScaleReport",
     "StateSpec",
     "SuperoscParams",
+    "analyze",
     "build_cat",
     "build_psi",
     "central_cut_crossings",
@@ -88,6 +91,7 @@ __all__ = [
     "suggested_window",
     "superosc_scale",
     "total_integral",
+    "validate_gates",
     "wigner_quadrature",
     "zurek_scale",
 ]

@@ -15,7 +15,8 @@ patch-area estimate, and the overspill ratio of the two neighboring
 components' own Gaussian weight at the origin to |W(0,0)|.  That ratio says
 whether their tails swamp the central value, not whether the value is more
 than float64 roundoff: `analyze --n 20 --alpha 16` reports "ok" while its
-W(0,0) is roundoff (ROADMAP items 1 and 12).
+W(0,0) is roundoff (ROADMAP items 1 and 12).  analyze measures a state as
+the `analyze` command does; validate_gates gives the `validate` command's gates.
 
 The displacement-sensitivity diagnostic quantifies the flip side: overlap
 decay under phase-space displacement is governed by the envelope set by the
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle, states, wigner
 from .states import PhysicalConstants, StateSpec
 from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
 
@@ -77,12 +79,6 @@ def zurek_scale(L: float, P: float, constants: PhysicalConstants) -> float:
         raise ValueError(f"extents must be positive, got L={L}, P={P}")
     h = constants.h
     return (h / P) * (h / L)
-
-
-def recommended_cut_samples(window: float, L: float, alpha: float, constants: PhysicalConstants) -> int:
-    """Sample count giving >= 64 samples per finest fringe h/(2 L alpha)."""
-    fringe = finest_fringe(L, alpha, constants)
-    return max(256, int(math.ceil(_CUT_SAMPLES_PER_FRINGE * window / fringe)) + 1)
 
 
 def crossings_from_samples(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -183,6 +179,52 @@ def overspill_check(state: StateSpec) -> OverspillResult:
     return OverspillResult(lhs=lhs, rhs=rhs, ratio=ratio, satisfied=satisfied)
 
 
+def analyze(state: StateSpec, alpha: float) -> tuple[ScaleReport, OverspillResult | None]:
+    """The scale report and overspill check (None under 3 components) of
+    `subzurek analyze`: L = P = the spread of the centers, and the p cut spans
+    the h/L panel at 64 samples per finest fringe h/(2 L alpha), 256 at least."""
+    constants = state.constants
+    L = float(np.ptp(state.centers))
+    fringe = finest_fringe(L, alpha, constants)
+    window = constants.h / L
+    samples = max(256, int(math.ceil(_CUT_SAMPLES_PER_FRINGE * window / fringe)) + 1)
+    report = superosc_scale(central_cut_crossings(state, "p", window, samples), L, L, constants)
+    return report, overspill_check(state) if state.centers.size >= 3 else None
+
+
+def validate_gates(state: StateSpec, points: int) -> list[tuple[str, float, float]]:
+    """The `subzurek validate` gates as (name, value, tol), passing when
+    value <= tol: the closed form against the quadrature oracle at `points`
+    seeded points, and the exact norm, marginal and total integral.  Calls go
+    through the modules, so a function patched there is the one checked."""
+    rng = np.random.default_rng(20260808)
+    xi, hbar = state.xi, state.constants.hbar
+    half = float(np.max(np.abs(state.centers)))
+    drawn = [(rng.uniform(-half - 2 * xi, half + 2 * xi), rng.uniform(-3.5 * hbar / xi, 3.5 * hbar / xi))
+             for _ in range(points)]
+    xs, ps = np.array(drawn).reshape(-1, 2).T
+    closed = wigner.eval_wigner(state, xs, ps)
+    quad = oracle.wigner_quadrature(state, xs, ps)
+    full = wigner._pair_sum_complex(state, xs, ps)
+    n2 = states.norm_squared(state)
+    nq = oracle.norm_quadrature(state)
+    # the marginal and total integral are exact over the whole p line and plane
+    window = wigner.suggested_window(state)
+    samples = wigner.integration_samples(window.x_max - window.x_min, 0.0, xi)
+    lattice = np.linspace(window.x_min, window.x_max, samples)
+    marg = wigner.marginal_x(state, lattice)
+    psi2 = np.abs(states.eval_psi(state, lattice)) ** 2
+    return [
+        ("closed-form vs quadrature (abs)", float(np.max(np.abs(closed - quad), initial=0.0)), 1e-8),
+        ("pair-sum imaginary residue (rel)",
+         float(np.max(np.abs(full.imag) / np.maximum(1.0, np.abs(full.real)), initial=0.0)), 1e-12),
+        ("norm closed-form vs quadrature (rel)", abs(n2 - nq) / nq, 1e-8),
+        ("normalization |<psi|psi>-1|", abs(n2 - 1.0), 1e-10),
+        ("marginal vs |psi|^2 (abs)", float(np.max(np.abs(marg - psi2))), 1e-12),
+        ("total integral - 1", abs(wigner.total_integral(state) - 1.0), 1e-12),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # displacement sensitivity
 
@@ -248,9 +290,9 @@ def default_scan_margin(source) -> float:
     The envelope decays e^{-d^2/(2 xi^2)} and e^{-d^2 xi^2/(2 hbar^2)} both
     pass 1/2 near 1.18 * max(xi, hbar/xi), so the scan ends well past them.
     """
-    states = [t.state for t in source.terms] if isinstance(source, MixtureSpec) else [source]
-    xi = min(st.xi for st in states)
-    hbar = states[0].constants.hbar
+    members = [t.state for t in source.terms] if isinstance(source, MixtureSpec) else [source]
+    xi = min(st.xi for st in members)
+    hbar = members[0].constants.hbar
     return 2.5 * max(xi, hbar / xi)
 
 

@@ -4,8 +4,8 @@ Subcommands
 -----------
 coeffs       write the Fourier/derived coefficient table as CSV
 wigner       evaluate W on a grid or central cut and export CSV/PGM
-analyze      measure structure scales and write a report
-validate     run the quadrature-oracle gates, exit nonzero on failure
+analyze      measure structure scales (analysis.analyze) and write a report
+validate     run the oracle gates of analysis.validate_gates, exit 5 on failure
 sensitivity  scan overlap decay under phase-space displacement
 
 Configuration is resolved as: explicit flags > config file > preset
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, export, oracle, states, wigner
+from . import analysis, export, states, wigner
 from .states import PhysicalConstants, StateSpec
 from .superosc import SuperoscParams, fourier_coeffs
 from .wigner import GridWindow, MixtureSpec
@@ -319,23 +319,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args)
     state = scenario.build_state()  # parameter errors exit 2, analysis errors 4
-    constants = scenario.constants
     try:
-        L = scenario.extent_L
-        P = L
-        window = constants.h / L
-        samples = analysis.recommended_cut_samples(window, L, scenario.alpha, constants)
-        crossings = analysis.central_cut_crossings(state, "p", window, samples)
-        report = analysis.superosc_scale(crossings, L, P, constants)
-        spill = None
-        if state.centers.size >= 3:
-            spill = analysis.overspill_check(state)
-            spill_note = (
-                f"overspill ratio = {spill.ratio:.6g} "
-                f"({'ok' if spill.satisfied else 'VIOLATED'})"
-            )
-        else:
-            spill_note = "overspill check skipped: state has no central component with two neighbors"
+        report, spill = analysis.analyze(state, scenario.alpha)
     except ValueError as exc:
         raise CliError(f"analysis failed: {exc}", EXIT_ANALYSIS) from exc
 
@@ -347,7 +332,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"alpha_est = {report.alpha_est:.6g}   (scenario alpha = {scenario.alpha:.6g})")
     print(f"a_SO_est = {report.a_SO_est:.6g}   (a_Z/alpha_est^2)")
     print(f"smallest crossing spacing = {min(report.crossing_spacings):.6g}")
-    print(spill_note)
+    if spill is None:
+        print("overspill check skipped: state has no central component with two neighbors")
+    else:
+        print(f"overspill ratio = {spill.ratio:.6g} ({'ok' if spill.satisfied else 'VIOLATED'})")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -356,43 +344,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise CliError(f"--points must be >= 1, got {args.points}", EXIT_BAD_PARAMS)
     scenario = resolve_scenario(args)
-    state = scenario.build_state()
-    constants = scenario.constants
-    rng = np.random.default_rng(20260808)
-    xi = scenario.xi
-    half = float(np.max(np.abs(state.centers)))
-    gates: list[tuple[str, float, float]] = []
-
-    points = np.array([
-        (rng.uniform(-half - 2 * xi, half + 2 * xi),
-         rng.uniform(-3.5 * constants.hbar / xi, 3.5 * constants.hbar / xi))
-        for _ in range(args.points)
-    ]).reshape(-1, 2)
-    xs, ps = points.T
-    closed = wigner.eval_wigner(state, xs, ps)
-    quad = oracle.wigner_quadrature(state, xs, ps)
-    full = wigner._pair_sum_complex(state, xs, ps)
-    worst = float(np.max(np.abs(closed - quad), initial=0.0))
-    worst_im = float(np.max(np.abs(full.imag) / np.maximum(1.0, np.abs(full.real)), initial=0.0))
-    gates.append(("closed-form vs quadrature (abs)", worst, 1e-8))
-    gates.append(("pair-sum imaginary residue (rel)", worst_im, 1e-12))
-
-    n2 = states.norm_squared(state)
-    nq = oracle.norm_quadrature(state)
-    gates.append(("norm closed-form vs quadrature (rel)", abs(n2 - nq) / nq, 1e-8))
-    gates.append(("normalization |<psi|psi>-1|", abs(n2 - 1.0), 1e-10))
-
-    # the marginal and total integral are exact over the whole p line and plane
-    window = wigner.suggested_window(state)
-    width = window.x_max - window.x_min
-    lattice = np.linspace(window.x_min, window.x_max, wigner.integration_samples(width, 0.0, xi))
-    marg = wigner.marginal_x(state, lattice)
-    psi2 = np.abs(states.eval_psi(state, lattice)) ** 2
-    gates.append(("marginal vs |psi|^2 (abs)", float(np.max(np.abs(marg - psi2))), 1e-12))
-    gates.append(("total integral - 1", abs(wigner.total_integral(state) - 1.0), 1e-12))
-
     failed = []
-    for name, value, tol in gates:
+    for name, value, tol in analysis.validate_gates(scenario.build_state(), args.points):
         ok = value <= tol
         print(f"{'PASS' if ok else 'FAIL'}  {name:<42} {value:.3e} (tol {tol:.1e})")
         if not ok:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from subzurek import oracle, wigner
 from subzurek.analysis import (
+    analyze,
     central_cut_crossings,
     crossings_from_samples,
     default_scan_margin,
@@ -16,6 +18,7 @@ from subzurek.analysis import (
     overspill_check,
     report_to_text,
     superosc_scale,
+    validate_gates,
     zurek_scale,
 )
 from subzurek.states import (
@@ -25,6 +28,7 @@ from subzurek.states import (
     build_psi,
     eval_psi,
 )
+from subzurek.cli import Scenario
 from subzurek.superosc import SuperoscParams
 from subzurek.wigner import cross_state, displaced_overlaps
 
@@ -204,6 +208,78 @@ class TestOverspill:
         fit = slope * xsq + intercept
         span = ratios[0] - ratios[-1]
         assert np.max(np.abs(fit - ratios)) <= 0.01 * abs(span)
+
+
+class TestAnalyze:
+    def test_fig2b_and_fig2c_recover_alpha(self):
+        for alpha, tol in ((10.0, 1.5), (16.0, 0.15 * 16.0)):
+            report, spill = analyze(psi_state(12, alpha), alpha)
+            assert abs(report.alpha_est - alpha) <= tol
+            assert report.L == report.P == 36.0 and spill.satisfied
+
+    def test_cat_has_no_overspill_result(self):
+        report, spill = analyze(build_cat(3.0, 1.0), 1.0)
+        assert spill is None and abs(report.alpha_est - 1.0) <= 0.05
+
+    def test_cat_without_crossings_raises(self):
+        # the state of `analyze --preset cat --delta-x 1e-6`: one Gaussian in effect
+        with pytest.raises(ValueError, match="0 crossings"):
+            analyze(build_cat(1e-6, 1.0), 1.0)
+
+    def test_extent_is_the_scenarios_bit_for_bit(self):
+        # 2 fl(n/2 dx) = fl(n dx): the spread of the centers is Scenario.extent_L
+        for dx in (0.3, 0.7, 1.1, 2.5, 3.0, 4.4, 6.0, 7.3):
+            for n in range(2, 34, 2):
+                scenario = Scenario("psi", n, 4.0, dx / 12, dx, 1.0, False, None)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # odd n/2 sign-convention note
+                    report, _ = analyze(scenario.build_state(), scenario.alpha)
+                assert report.L == report.P == scenario.extent_L
+            cat = Scenario("cat", None, 1.0, 1.0, dx, 1.0, False, None)
+            assert analyze(cat.build_state(), 1.0)[0].L == cat.extent_L
+
+
+def per_point_gates(state, n_points):
+    """The first two validate gates from a point-at-a-time loop."""
+    xi, hbar = state.xi, state.constants.hbar
+    half = float(np.max(np.abs(state.centers)))
+    rng = np.random.default_rng(20260808)
+    worst = worst_im = 0.0
+    for _ in range(n_points):
+        x = float(rng.uniform(-half - 2 * xi, half + 2 * xi))
+        p = float(rng.uniform(-3.5 * hbar / xi, 3.5 * hbar / xi))
+        worst = max(worst, abs(wigner.eval_wigner(state, x, p) - oracle.wigner_quadrature(state, x, p)))
+        full = wigner._pair_sum_complex(state, x, p)
+        worst_im = max(worst_im, abs(full.imag) / max(1.0, abs(full.real)))
+    return [("closed-form vs quadrature (abs)", worst, 1e-8),
+            ("pair-sum imaginary residue (rel)", worst_im, 1e-12)]
+
+
+class TestValidateGates:
+    def test_names_tolerances_and_order(self):
+        gates = validate_gates(build_cat(3.0, 1.0), 4)
+        assert [(name, tol) for name, _, tol in gates] == [
+            ("closed-form vs quadrature (abs)", 1e-8),
+            ("pair-sum imaginary residue (rel)", 1e-12),
+            ("norm closed-form vs quadrature (rel)", 1e-8),
+            ("normalization |<psi|psi>-1|", 1e-10),
+            ("marginal vs |psi|^2 (abs)", 1e-12),
+            ("total integral - 1", 1e-12),
+        ]
+        assert all(value <= tol for _, value, tol in gates)
+
+    @pytest.mark.parametrize("state", [
+        psi_state(8, 10.0), psi_state(4, 6.0, dx=6.0, xi=1.0), build_cat(3.0, 1.0),
+        build_psi(SuperoscParams(12, 10.0), 3.0, 0.25, PhysicalConstants(hbar=0.7)),
+    ], ids=["fig1", "fig2a", "cat", "hbar0.7"])
+    def test_point_gates_equal_the_per_point_loop(self, state):
+        assert validate_gates(state, 12)[:2] == per_point_gates(state, 12)
+
+    def test_marginal_off_by_1e9_fails_its_gate(self, monkeypatch):
+        marginal_x = wigner.marginal_x
+        monkeypatch.setattr(wigner, "marginal_x", lambda source, xs: marginal_x(source, xs) + 1e-9)
+        failing = [name for name, value, tol in validate_gates(psi_state(12, 10.0), 4) if value > tol]
+        assert failing == ["marginal vs |psi|^2 (abs)"]
 
 
 class TestDisplacementSensitivity:
