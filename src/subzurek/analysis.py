@@ -35,7 +35,7 @@ import numpy as np
 
 from . import oracle, states, wigner
 from .states import PhysicalConstants, StateSpec
-from .wigner import MixtureSpec, displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
+from .wigner import displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
 
 OVERSPILL_WARN_RATIO = 0.1
 _RHS_FLOOR = 1e-280
@@ -290,10 +290,8 @@ def default_scan_margin(source) -> float:
     The envelope decays e^{-d^2/(2 xi^2)} and e^{-d^2 xi^2/(2 hbar^2)} both
     pass 1/2 near 1.18 * max(xi, hbar/xi), so the scan ends well past them.
     """
-    members = [t.state for t in source.terms] if isinstance(source, MixtureSpec) else [source]
-    xi = min(st.xi for st in members)
-    hbar = members[0].constants.hbar
-    return 2.5 * max(xi, hbar / xi)
+    xi = min(t.state.xi for t in wigner._terms(source))
+    return 2.5 * max(xi, source.constants.hbar / xi)
 
 
 # ---------------------------------------------------------------------------

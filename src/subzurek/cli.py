@@ -212,17 +212,18 @@ def auto_window(scenario: Scenario, source) -> tuple[GridWindow, bool]:
     )
 
 
-def cut_window(scenario: Scenario, mapping: str) -> tuple[float, int]:
-    """(full width, samples) for a central cut.
+def cut_window(scenario: Scenario, source, axis: str, mapping: str) -> tuple[float, int]:
+    """(full width, samples) for a central cut of source along axis.
 
     logabs cuts default to the superoscillation panel of width h/L; other
-    mappings span the full momentum envelope.
+    mappings span the default grid's window on the cut's axis,
+    suggested_window(source), symmetric about 0 for every CLI source.
     """
-    constants = scenario.constants
     if mapping == export.MAP_LOGABS:
-        width = constants.h / scenario.extent_L
+        width = scenario.constants.h / scenario.extent_L
     else:
-        width = 2.0 * 6.0 * constants.hbar / scenario.xi
+        w = wigner.suggested_window(source)
+        width = w.x_max - w.x_min if axis == "x" else w.p_max - w.p_min
     samples = max(1025, _rule_min_samples(width, scenario.fringe()) + 1)
     return width, samples
 
@@ -268,7 +269,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     prefix = args.out or (args.preset or "wigner")
 
     if args.cut:
-        width, samples = cut_window(scenario, args.map)
+        width, samples = cut_window(scenario, source, args.cut, args.map)
         coords = np.linspace(-width / 2.0, width / 2.0, samples)
         values = wigner.eval_cut(source, args.cut, coords)
         if args.map == export.MAP_LOGABS:

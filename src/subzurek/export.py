@@ -16,9 +16,10 @@ the bits of the same products (see the wigner module).  A grid export is a
 stream of chunks written into the temp file one at a time, so no whole-file
 copy is held, and from a GridRows no whole grid either: a 1536^2 grid peaks
 at about 3.5 MB of Python allocations as CSV and 2 MB as 16-bit PGM, and
-the CLI's 2049 x 8192 PGM at about 2.5 MB.  The CLI writes a grid CSV
-through write_grid_csv, which may split the stream between two processes
-(below), and a PGM as atomic_write_chunks(path, grid_pgm_chunks(...)).
+the CLI's 2049 x 8192 PGM at about 2.5 MB.  One writer,
+atomic_write_chunks, creates every output file and puts it in place: the
+CLI gives it grid_pgm_chunks and, through write_grid_csv, a grid's CSV
+chunks, which two processes may share (below).
 grid_to_csv, cut_to_csv and grid_to_pgm collect the same chunks into one
 object; the CSV collectors append each chunk to one bytearray as it comes.
 A temp file is created with O_EXCL under a random .tmp-export- name and mode
@@ -67,17 +68,18 @@ place, so a block allocates only its text and a few index arrays.
 The pack holds the GIL, so the text is formatted on the caller's thread
 alone.  write_grid_csv instead forks one child on Linux when the process may
 use two CPUs, runs no other Python thread and the grid spans at least
-_FORK_BLOCKS blocks.  The parent streams the header and the first half of
-the blocks into its temp file while the child streams the second half, with
-its own workspace, into an unnamed temp file (tempfile.TemporaryFile, made
-with O_TMPFILE) and leaves through os._exit whatever happens.  From a
-GridRows the child evaluates its own blocks from the small factors, so the
-two processes share no page of the grid.  The parent then reaps the child,
-copies the child's file onto the end of its own in bounded chunks and
-puts its own in place of the target as above.  On an error or an
-interrupt the parent kills and reaps the child and removes its temp file;
-a child that fails makes the parent raise ChildProcessError.  The bytes
-are those of the one-process stream.  On a 2-core x86 VM, a fork, exit and wait takes 2-5 ms
+_FORK_BLOCKS blocks, when atomic_write_chunks asks its chunk generator
+for the first chunk.  The parent yields the header and the first half of
+the blocks while the child streams the second half, with its own
+workspace, into an unnamed temp file (tempfile.TemporaryFile, made with
+O_TMPFILE) and leaves through os._exit whatever happens.  From a GridRows
+the child evaluates its own blocks from the small factors, so the two
+processes share no page of the grid.  The parent then reaps the child and
+yields its file as trailing chunks of at most shutil.COPY_BUFSIZE bytes.
+On an error or an interrupt atomic_write_chunks removes its temp file and
+closes the generator, whose finally kills and reaps a child still
+running; a child that fails makes the parent raise ChildProcessError.  The
+bytes are those of the one-process stream.  On a 2-core x86 VM, a fork, exit and wait takes 2-5 ms
 in a 96 MB process and a block about 1 ms to format, so the fork pays from
 about 12 blocks on and _FORK_BLOCKS is 16.  Copying the 27 MB half of
 a fig2b grid from the page cache takes about 4 ms.
@@ -91,7 +93,6 @@ rounded and cast to samples.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -150,14 +151,12 @@ def _exchanged(tmp: str, path: str) -> bool:
     return renameat2(-100, os.fsencode(tmp), -100, os.fsencode(path), 2) == 0
 
 
-@contextlib.contextmanager
-def _atomic_file(path: str) -> Iterator:
-    """A binary file object on a new file under a random .tmp-export- name
-    beside path, put in place of path when the block ends and removed if it
-    raises or is interrupted.  O_EXCL with mode 0666 gives the file the mode
-    a plain open() would, 0666 less the umask.  It is swapped with an
-    existing regular file at path, and the previous version then under the
-    temp name unlinked, or else renamed onto path (see the module docstring)."""
+def atomic_write_chunks(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like chunks, in order, to a new file under a random
+    .tmp-export- name beside path, with a plain open()'s mode, and swap it
+    with, or rename it onto, path (see the module docstring).  On any error
+    or interrupt the temp file is removed and path is left as it was; a
+    generator of chunks is closed either way, so its own cleanup runs."""
     directory = os.path.dirname(os.path.abspath(path))
     flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     while True:
@@ -169,7 +168,8 @@ def _atomic_file(path: str) -> Iterator:
             continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            yield fh
+            for chunk in chunks:
+                fh.write(chunk)
         if _exchanged(tmp, path):
             os.unlink(tmp)
         else:
@@ -178,17 +178,6 @@ def _atomic_file(path: str) -> Iterator:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_chunks(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like chunks, in order, to a temp file beside path and
-    put it in place of path.  On any error or interrupt the temp file is
-    removed and path is left as it was; a generator of chunks is closed
-    either way."""
-    try:
-        with _atomic_file(path) as fh:
-            for chunk in chunks:
-                fh.write(chunk)
     finally:
         close = getattr(chunks, "close", None)
         if close is not None:
@@ -568,42 +557,46 @@ def _write_and_exit(fd: int, grid: Grid, blocks: list[tuple[int, int]]) -> NoRet
 
 
 def write_grid_csv(path: str, grid: Grid, header_comments: list[str] | None = None) -> None:
-    """Write grid_to_csv's text to path through a temp file, one block of
-    rows at a time.  On Linux, when the process may use two CPUs, runs no
-    other Python thread and the grid spans at least _FORK_BLOCKS blocks, a
-    forked child evaluates and formats the second half of the blocks
-    meanwhile (see the module docstring)."""
+    """Write grid_to_csv's text to path through atomic_write_chunks, one
+    block of rows at a time.  On Linux, when the process may use two CPUs,
+    runs no other Python thread and the grid spans at least _FORK_BLOCKS
+    blocks, a forked child formats the second half of the blocks meanwhile
+    and its text follows as trailing chunks (see the module docstring)."""
     w = grid.window
     head = _grid_head(w, header_comments)
     blocks = _row_blocks(w.nx, w.np)
+    half = len(blocks) // 2
+
+    def forked() -> Iterator:
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as part:
+            pid = 0
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _write_and_exit(part.fileno(), grid, blocks[half:])
+                yield from _csv_chunks(head, grid.rows, blocks[:half], w.np)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = 0
+                if status != 0:
+                    raise ChildProcessError(
+                        f"the forked writer of CSV rows {blocks[half][0]}:{w.nx} exited with status {status}"
+                    )
+            finally:
+                if pid:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            part.seek(0)
+            while chunk := part.read(shutil.COPY_BUFSIZE):
+                yield chunk
+
     # a fork copies no thread, so a lock another thread holds stays locked
     # in the child; Windows has no fork, and macOS's system frameworks are
     # not safe to use in a forked child
     forkable = threading.active_count() == 1 and sys.platform == "linux"
     if len(blocks) < _FORK_BLOCKS or cpu_count() < 2 or not forkable:
         atomic_write_chunks(path, _csv_chunks(head, grid.rows, blocks, w.np))
-        return
-    half = len(blocks) // 2
-    with _atomic_file(path) as fh, tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as part:
-        pid = 0
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _write_and_exit(part.fileno(), grid, blocks[half:])
-            for chunk in _csv_chunks(head, grid.rows, blocks[:half], w.np):
-                fh.write(chunk)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = 0
-            if status != 0:
-                raise ChildProcessError(
-                    f"the forked writer of CSV rows {blocks[half][0]}:{w.nx} exited with status {status}"
-                )
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    else:
+        atomic_write_chunks(path, forked())
 
 
 def grid_to_csv(grid: Grid, header_comments: list[str] | None = None) -> bytearray:

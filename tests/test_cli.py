@@ -148,6 +148,23 @@ class TestWigner:
         vals = np.array([float(l.split(",")[1]) for l in data])
         assert np.all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("axis", ["x", "p"])
+    @pytest.mark.parametrize("source", ["pure", "cross"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_full_cut_spans_the_default_window(self, preset, source, axis, tmp_path, monkeypatch):
+        # a full cut spans suggested_window on its own axis, six Gaussian
+        # widths past every spot, so W has fallen to roundoff at both ends
+        argv = ["wigner", "--preset", preset, "--source", source, "--cut", axis, "--map", "signed", "--out", "c"]
+        assert run(argv, tmp_path, monkeypatch) == EXIT_OK
+        lines = [l for l in (tmp_path / "c_cut.csv").read_text().splitlines() if not l.startswith("#")]
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        args = build_parser().parse_args(argv)
+        window = wigner.suggested_window(resolve_scenario(args).build_source(args.source))
+        bounds = (window.x_min, window.x_max) if axis == "x" else (window.p_min, window.p_max)
+        assert (rows[0, 0], rows[-1, 0]) == bounds
+        w = np.abs(rows[:, 1])
+        assert max(w[0], w[-1]) <= 1e-12 * w.max()
+
     def test_undersampled_grid_exit_3(self, tmp_path, monkeypatch, capsys):
         code = run(
             ["wigner", "--preset", "fig1", "--grid=-1:1:32,-1:1:32"],

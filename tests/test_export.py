@@ -343,7 +343,7 @@ class TestTwoThreads:
         assert threading.active_count() == before
         assert no_child_left()
 
-    def test_order_holds_under_frequent_thread_switches(self, tmp_path, monkeypatch):
+    def test_no_fork_while_a_second_thread_runs(self, tmp_path, monkeypatch):
         # while a second Python thread runs, a fork could copy a lock it
         # holds: the whole grid is formatted on the caller
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
@@ -363,7 +363,7 @@ class TestTwoThreads:
         assert not other.is_alive()
         assert not seen
 
-    def test_helper_error_reaches_the_caller(self, tmp_path, monkeypatch):
+    def test_child_error_reaches_the_caller(self, tmp_path, monkeypatch):
         # the child formats blocks 4-8 and fails at its first; the parent
         # finishes its own half, reaps the child and raises
         monkeypatch.setattr(export, "cpu_count", lambda: 2)
@@ -385,7 +385,7 @@ class TestTwoThreads:
         assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
         assert len(seen) == 1 and no_child_left()
 
-    def test_helper_loads_no_thread_pool(self, tmp_path):
+    def test_child_loads_no_thread_pool(self, tmp_path):
         # the child is a bare fork: no executor, no multiprocessing, and no
         # thread in either process
         code = (
@@ -1011,7 +1011,7 @@ class TestStreamedWriteAtomicity:
 
         monkeypatch.setattr(export, "_format_values", failing)
 
-    def test_formatter_error_in_a_helper_block(self, cpus, tmp_path, monkeypatch):
+    def test_formatter_error_in_a_child_block(self, cpus, tmp_path, monkeypatch):
         # block 6 is the child's on two CPUs, the caller's on one
         self.failing_block(monkeypatch, 6, ArithmeticError)
         seen = forks(monkeypatch)
@@ -1065,6 +1065,37 @@ class TestStreamedWriteAtomicity:
         else:
             self.check(tmp_path, lambda path: atomic_write_chunks(path, grid_pgm_chunks(grid, "signed", 16)), OSError)
         assert len(writes) == 3
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupt"])
+    def test_write_error_in_the_child_half(self, error, tmp_path, monkeypatch):
+        # the parent writes the head and blocks 0-3, reaps the child, then
+        # copies blocks 4-8 from the child's file: the first of those writes
+        # fails
+        monkeypatch.setattr(export, "cpu_count", lambda: 2)
+        real_fdopen, writes = os.fdopen, []
+
+        class FailsInChildHalf:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                writes.append(bytes(chunk[:2]))
+                if len(writes) > 5:
+                    raise error
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailsInChildHalf(real_fdopen(fd, mode)))
+        seen = forks(monkeypatch)
+        self.check(tmp_path, lambda path: write_grid_csv(path, block_grid()), type(error))
+        assert writes == [b"x_", b"0,", b"1,", b"2,", b"3,", b"4,"]
+        assert len(seen) == 1
 
     def test_killed_writer_leaves_one_temp_file(self, tmp_path):
         # the parent is killed while it writes its half, after the fork; the

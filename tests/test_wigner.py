@@ -701,9 +701,9 @@ class TestEvalCut:
         # the fig2c signed p-cut: 70,407 samples of a 182-term cross mixture;
         # an unblocked point path would hold several samples x terms buffers
         scenario = resolve_scenario(argparse.Namespace(preset="fig2c"))
-        width, samples = cut_window(scenario, "signed")
-        coords = np.linspace(-width / 2.0, width / 2.0, samples)
         source = scenario.build_source()
+        width, samples = cut_window(scenario, source, "p", "signed")
+        coords = np.linspace(-width / 2.0, width / 2.0, samples)
         tracemalloc.start()
         try:
             eval_cut(source, "p", coords)
