@@ -24,6 +24,7 @@ from .states import (
     norm_squared,
 )
 from .wigner import (
+    Factored,
     GridWindow,
     MixtureSpec,
     MixtureTerm,
@@ -31,6 +32,7 @@ from .wigner import (
     cross_state,
     eval_grid,
     eval_wigner,
+    factor,
     finest_fringe,
     marginal_x,
     overlap,
@@ -56,6 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffTable",
+    "Factored",
     "GridWindow",
     "MixtureSpec",
     "MixtureTerm",
@@ -78,6 +81,7 @@ __all__ = [
     "eval_grid",
     "eval_psi",
     "eval_wigner",
+    "factor",
     "finest_fringe",
     "fourier_coeffs",
     "marginal_x",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import oracle, states, wigner
 from .states import PhysicalConstants, StateSpec
-from .wigner import displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
+from .wigner import Factored, displaced_overlaps, eval_cut, eval_wigner, finest_fringe, pair_kernel
 
 OVERSPILL_WARN_RATIO = 0.1
 _RHS_FLOOR = 1e-280
@@ -146,14 +146,15 @@ def superosc_scale(
     )
 
 
-def overspill_check(state: StateSpec) -> OverspillResult:
+def overspill_check(state: StateSpec, core: Factored | None = None) -> OverspillResult:
     """Compare the two neighbor components' own Wigner weight at the origin
     with the full value there.
 
     lhs is the sum of the two isolated-component (diagonal-pair) kernels of
     the components adjacent to the central one; rhs is |W(0,0)| of the full
-    state.  Emits a warning when the ratio exceeds 0.1 (their tails swamp
-    the central value).  A small ratio does not show that rhs is more than
+    state, read from core, the state's factored form, when it is given.
+    Emits a warning when the ratio exceeds 0.1 (their tails swamp the
+    central value).  A small ratio does not show that rhs is more than
     float64 roundoff of the interference sum (ROADMAP items 1 and 12)."""
     if state.centers.size < 3:
         raise ValueError(
@@ -165,7 +166,7 @@ def overspill_check(state: StateSpec) -> OverspillResult:
     if i0 == 0 or i0 == order.size - 1:
         raise ValueError("central component has no neighbor on both sides")
     lhs = sum(float(pair_kernel(state, j, j, 0.0, 0.0).real) for j in order[[i0 - 1, i0 + 1]])
-    rhs = abs(eval_wigner(state, 0.0, 0.0))
+    rhs = abs(eval_wigner(state if core is None else core, 0.0, 0.0))
     if rhs < _RHS_FLOOR:
         return OverspillResult(lhs=lhs, rhs=rhs, ratio=math.nan, satisfied=False, indeterminate=True)
     ratio = lhs / rhs
@@ -182,37 +183,41 @@ def overspill_check(state: StateSpec) -> OverspillResult:
 def analyze(state: StateSpec, alpha: float) -> tuple[ScaleReport, OverspillResult | None]:
     """The scale report and overspill check (None under 3 components) of
     `subzurek analyze`: L = P = the spread of the centers, and the p cut spans
-    the h/L panel at 64 samples per finest fringe h/(2 L alpha), 256 at least."""
+    the h/L panel at 64 samples per finest fringe h/(2 L alpha), 256 at least.
+    The state is factored once, for the cut and the overspill check."""
     constants = state.constants
+    core = wigner.factor(state)
     L = float(np.ptp(state.centers))
     fringe = finest_fringe(L, alpha, constants)
     window = constants.h / L
     samples = max(256, int(math.ceil(_CUT_SAMPLES_PER_FRINGE * window / fringe)) + 1)
-    report = superosc_scale(central_cut_crossings(state, "p", window, samples), L, L, constants)
-    return report, overspill_check(state) if state.centers.size >= 3 else None
+    report = superosc_scale(central_cut_crossings(core, "p", window, samples), L, L, constants)
+    return report, overspill_check(state, core) if state.centers.size >= 3 else None
 
 
 def validate_gates(state: StateSpec, points: int) -> list[tuple[str, float, float]]:
     """The `subzurek validate` gates as (name, value, tol), passing when
     value <= tol: the closed form against the quadrature oracle at `points`
-    seeded points, and the exact norm, marginal and total integral.  Calls go
-    through the modules, so a function patched there is the one checked."""
+    seeded points, and the exact norm, marginal and total integral.  The
+    state is factored once for every closed-form gate.  Calls go through the
+    modules, so a function patched there is the one checked."""
     rng = np.random.default_rng(20260808)
     xi, hbar = state.xi, state.constants.hbar
     half = float(np.max(np.abs(state.centers)))
     drawn = [(rng.uniform(-half - 2 * xi, half + 2 * xi), rng.uniform(-3.5 * hbar / xi, 3.5 * hbar / xi))
              for _ in range(points)]
     xs, ps = np.array(drawn).reshape(-1, 2).T
-    closed = wigner.eval_wigner(state, xs, ps)
+    core = wigner.factor(state)
+    closed = wigner.eval_wigner(core, xs, ps)
     quad = oracle.wigner_quadrature(state, xs, ps)
     full = wigner._pair_sum_complex(state, xs, ps)
     n2 = states.norm_squared(state)
     nq = oracle.norm_quadrature(state)
     # the marginal and total integral are exact over the whole p line and plane
-    window = wigner.suggested_window(state)
+    window = wigner.suggested_window(core)
     samples = wigner.integration_samples(window.x_max - window.x_min, 0.0, xi)
     lattice = np.linspace(window.x_min, window.x_max, samples)
-    marg = wigner.marginal_x(state, lattice)
+    marg = wigner.marginal_x(core, lattice)
     psi2 = np.abs(states.eval_psi(state, lattice)) ** 2
     return [
         ("closed-form vs quadrature (abs)", float(np.max(np.abs(closed - quad), initial=0.0)), 1e-8),
@@ -221,7 +226,7 @@ def validate_gates(state: StateSpec, points: int) -> list[tuple[str, float, floa
         ("norm closed-form vs quadrature (rel)", abs(n2 - nq) / nq, 1e-8),
         ("normalization |<psi|psi>-1|", abs(n2 - 1.0), 1e-10),
         ("marginal vs |psi|^2 (abs)", float(np.max(np.abs(marg - psi2))), 1e-12),
-        ("total integral - 1", abs(wigner.total_integral(state) - 1.0), 1e-12),
+        ("total integral - 1", abs(wigner.total_integral(core) - 1.0), 1e-12),
     ]
 
 

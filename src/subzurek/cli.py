@@ -283,16 +283,16 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.grid:
         x0, x1, nx, p0, p1, npts = _parse_grid(args.grid)
         window = GridWindow(x0, x1, p0, p1, nx, npts)
-        gated = [("p", npts, p1 - p0)]
-        if isinstance(source, MixtureSpec):
-            # quarter-turned arms put the p fringes along x as well
-            gated.append(("x", nx, x1 - x0))
-        for axis, have, width in gated:
-            need = _rule_min_samples(width, fringe)
+        # x takes auto_window's rule: quarter-turned arms put the p fringes
+        # along x as well, and a pure source's finest x structure is its width
+        x_rule = ("fringe", fringe) if isinstance(source, MixtureSpec) else ("width", scenario.xi)
+        for axis, have, width, (rule, fine) in (("p", npts, p1 - p0, ("fringe", fringe)),
+                                               ("x", nx, x1 - x0, x_rule)):
+            need = _rule_min_samples(width, fine)
             if have < need and not args.allow_undersampled:
                 raise CliError(
-                    f"grid has {have} {axis}-samples but the fringe rule needs {need} "
-                    f"({SAMPLES_PER_FRINGE} per fringe {fringe:.3e}); pass --allow-undersampled to override",
+                    f"grid has {have} {axis}-samples but the {rule} rule needs {need} "
+                    f"({SAMPLES_PER_FRINGE} per {rule} {fine:.3e}); pass --allow-undersampled to override",
                     EXIT_UNDERSAMPLED,
                 )
     else:

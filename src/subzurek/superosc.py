@@ -37,10 +37,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Largest exactly representable magnitude before float64 conversion overflows.
-_FLOAT_MAX = Fraction(2) ** 1024
-
-
 @dataclass(frozen=True)
 class SuperoscParams:
     """Parameters of the superoscillating function: exponent n and strength alpha.
@@ -85,45 +81,47 @@ class CoeffTable:
         return sum(self.d_exact, Fraction(0))
 
 
-def _exact_coeffs(params: SuperoscParams) -> list[Fraction]:
-    """Exact rational c_j.  Every float alpha is a rational, so this is lossless."""
+def _exact_coeffs(params: SuperoscParams) -> tuple[list[int], int]:
+    """The exact c_j as integer numerators over one denominator.  Every float
+    alpha is a rational num/den, so this is lossless: c_j is
+    (-1)^j binom(n,j) (num+den)^{n-j} (num-den)^j over 2^n den^n."""
     n = params.n
-    a = Fraction(params.alpha)
-    ap, am = a + 1, a - 1
-    two_n = Fraction(2) ** n
-    out = []
-    for j in range(n + 1):
-        # am**j with j=0 is 1 even when alpha == 1
-        out.append(Fraction((-1) ** j * math.comb(n, j)) * ap ** (n - j) * am**j / two_n)
-    return out
+    num, den = float(params.alpha).as_integer_ratio()
+    up, down = num + den, num - den
+    # down**j with j=0 is 1 even when alpha == 1
+    return [(-1) ** j * math.comb(n, j) * up ** (n - j) * down**j for j in range(n + 1)], (2 * den) ** n
 
 
 def fourier_coeffs(params: SuperoscParams) -> CoeffTable:
     """Build the coefficient table for the given (n, alpha).
 
     Raises ValueError when any |c_j| exceeds the double-precision range; the
-    exact-rational intermediate values cannot overflow, so the check is made
-    once, against the final magnitudes.
+    exact intermediate values cannot overflow, so the check is made once,
+    against the final magnitudes.  The d_j are sums of the c_j's integer
+    numerators over their one denominator, and every float is the correctly
+    rounded quotient of the two, as float() of the reduced fraction is.
     """
-    c_exact = _exact_coeffs(params)
-    biggest = max(abs(c) for c in c_exact)
-    if biggest >= _FLOAT_MAX:
+    nums, scale = _exact_coeffs(params)
+    biggest = max(abs(v) for v in nums)
+    if biggest >= scale << 1024:  # float64 overflows from 2^1024
         raise ValueError(
-            f"coefficient magnitude ~10^{len(str(biggest.numerator // max(1, biggest.denominator)))} "
+            f"coefficient magnitude ~10^{len(str(biggest // scale))} "
             f"for n={params.n}, alpha={params.alpha} exceeds double-precision range"
         )
     half = params.n // 2
-    d_exact = [c_exact[half]] + [c_exact[half + j] + c_exact[half - j] for j in range(1, half + 1)]
-    d_sum = sum(d_exact, Fraction(0))
+    d_nums = [nums[half]] + [nums[half + j] + nums[half - j] for j in range(1, half + 1)]
     # The regrouped d_j are a permutation-sum of the c_j, so their total is
     # exactly f(0) = 1; assert rather than assume before using it as the
     # k_j denominator.
-    if d_sum != 1:
-        raise AssertionError(f"sum of d_j = {d_sum} != 1; coefficient regrouping is broken")
-    c = np.array([float(v) for v in c_exact])
-    d = np.array([float(v) for v in d_exact])
-    k = np.sqrt(np.abs(d) / float(d_sum))
-    return CoeffTable(params=params, c=c, d=d, k=k, c_exact=tuple(c_exact), d_exact=tuple(d_exact))
+    if sum(d_nums) != scale:
+        raise AssertionError(
+            f"sum of d_j = {Fraction(sum(d_nums), scale)} != 1; coefficient regrouping is broken"
+        )
+    c = np.array([v / scale for v in nums])
+    d = np.array([v / scale for v in d_nums])
+    k = np.sqrt(np.abs(d))
+    return CoeffTable(params=params, c=c, d=d, k=k, c_exact=tuple(Fraction(v, scale) for v in nums),
+                      d_exact=tuple(Fraction(v, scale) for v in d_nums))
 
 
 def _cpow_int(base: complex, n: int) -> complex:

@@ -25,18 +25,22 @@ Gaussian-enveloped plane wave in p.  So W = X P^T with an x-factor matrix X
 form A e^{-(t-mu)^2/sigma^2} cos(omega t + phi).  _columns is the one place
 that turns a source into the table of those five parameters per column: a
 mixture concatenates its terms' columns, and a quarter-turned term swaps
-its two factors.  suggested_window reads the table and reaches six sigma
-past every column's mu.
+its two factors.
 
 Many columns share one shape: a comb of m components has R columns but
 only 2m-1 distinct x shapes (the pair midpoints) and m distinct p shapes
-(the pair separations).  _basis groups the columns whose (mu, sigma, omega)
-are equal and whose phi agree mod pi into D unit-amplitude basis columns
-per axis, and scatters each column's signed amplitude into a D_x x D_p
-coefficient matrix C, so W = X_b C P_b^T; a column with a phase of its own
-keeps its own basis column, so D <= R.  Every reader uses the basis.  A
-grid is X_b (C P_b^T) or (X_b C) P_b^T, a product at rank min(D_x, D_p),
-and a point or cut a row-wise sum of (X_b C) * P_b.
+(the pair separations).  factor groups the columns whose (mu, sigma,
+omega) are equal and whose phi agree mod pi into D unit-amplitude basis
+columns per axis, and scatters each column's signed amplitude into a
+D_x x D_p coefficient matrix C, so W = X_b C P_b^T; a column with a phase
+of its own keeps its own basis column, so D <= R.  It returns the frozen
+Factored(basis_x, basis_p, coeffs, constants).  Every reader uses the
+basis, and accepts a Factored or a source, which it factors on each call:
+a caller that reads one source several times, as analyze and validate do,
+factors it once and passes the Factored.  A grid is X_b (C P_b^T) or
+(X_b C) P_b^T, a product at rank min(D_x, D_p), and a point or cut a
+row-wise sum of (X_b C) * P_b.  suggested_window reaches six sigma past
+every basis column's mu.
 
 A grid's product is taken in blocks of rows (GridRows), the small factors
 built once over their whole axes, so no nx x np array need be held; the
@@ -74,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PhysicalConstants, StateSpec
+from .states import PhysicalConstants, StateSpec, _read_only
 
 IDENTITY = "identity"
 QUARTER_TURN = "quarter_turn"
@@ -294,17 +298,31 @@ def _group(cols: np.ndarray):
     return basis, index, np.where(up | down, -amp, amp)
 
 
-def _basis(source):
-    """(X_b, P_b, C): the x and p basis columns of a source (5 x D_x and
-    5 x D_p, see _group) and the D_x x D_p coefficient matrix C, entry (a, b)
-    summing the amplitude products of the columns whose x side is basis
-    column a and whose p side is basis column b.  W = X_b C P_b^T."""
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """The factored core of a source, W = X_b C P_b^T: the x and p basis
+    columns (5 x D_x and 5 x D_p, see _group), the D_x x D_p coefficient
+    matrix C and the source's constants, as read-only arrays."""
+
+    basis_x: np.ndarray
+    basis_p: np.ndarray
+    coeffs: np.ndarray
+    constants: PhysicalConstants
+
+
+def factor(source) -> Factored:
+    """The Factored core of a StateSpec or MixtureSpec; a Factored is
+    returned as it is.  Entry (a, b) of C sums the amplitude products of the
+    columns whose x side is basis column a and whose p side is basis column b."""
+    if isinstance(source, Factored):
+        return source
     cols_x, cols_p = _columns(source)
     basis_x, index_x, amp_x = _group(cols_x)
     basis_p, index_p, amp_p = _group(cols_p)
     dx, dp = basis_x.shape[1], basis_p.shape[1]
     coeffs = np.bincount(index_x * dp + index_p, weights=amp_x * amp_p, minlength=dx * dp)
-    return basis_x, basis_p, coeffs.reshape(dx, dp)
+    arrays = [_read_only(a) for a in (basis_x, basis_p, coeffs.reshape(dx, dp))]
+    return Factored(*arrays, source.constants)
 
 
 def _eval_columns(cols: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -329,14 +347,14 @@ _POINT_BLOCK = 256
 
 
 def eval_wigner(source, x, p):
-    """W(x,p) of a StateSpec or MixtureSpec, exact closed form.
+    """W(x,p) of a StateSpec, MixtureSpec or Factored, exact closed form.
 
     Row-wise sums of (X_b C) * P_b over the core, _POINT_BLOCK points at a
     time so memory stays O(N).  Scalars in, float out; arrays broadcast.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    basis_x, basis_p, coeffs = _basis(source)
+    core = factor(source)
     out = np.empty(np.broadcast_shapes(x.shape, p.shape))
     flat = out.reshape(-1)
     # a scalar coordinate, as on a cut, is one factor row for every block
@@ -344,9 +362,9 @@ def eval_wigner(source, x, p):
     ps = p.reshape(1) if p.ndim == 0 else np.broadcast_to(p, out.shape).ravel()
     for i in range(0, flat.size, _POINT_BLOCK):
         block = slice(i, i + _POINT_BLOCK)
-        X = _eval_columns(basis_x, xs if xs.size == 1 else xs[block])
-        P = _eval_columns(basis_p, ps if ps.size == 1 else ps[block])
-        flat[block] = ((X @ coeffs) * P).sum(axis=1)
+        X = _eval_columns(core.basis_x, xs if xs.size == 1 else xs[block])
+        P = _eval_columns(core.basis_p, ps if ps.size == 1 else ps[block])
+        flat[block] = ((X @ core.coeffs) * P).sum(axis=1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -370,7 +388,7 @@ def _row_blocks(nrows: int, ncols: int) -> list[tuple[int, int]]:
 
 
 class GridRows:
-    """W of a StateSpec or MixtureSpec on a window, evaluated a block of rows
+    """W of a StateSpec, MixtureSpec or Factored on a window, evaluated a block of rows
     at a time, so no nx x np array is held.
 
     The factors are built once over their whole axes, C folded into the side
@@ -380,9 +398,10 @@ class GridRows:
     """
 
     def __init__(self, source, window: GridWindow):
-        basis_x, basis_p, coeffs = _basis(source)
-        X = _eval_columns(basis_x, window.x_coords())
-        P = _eval_columns(basis_p, window.p_coords())
+        core = factor(source)
+        coeffs = core.coeffs
+        X = _eval_columns(core.basis_x, window.x_coords())
+        P = _eval_columns(core.basis_p, window.p_coords())
         if coeffs.shape[0] <= coeffs.shape[1]:
             self._left, self._right = X, coeffs @ P.T
         else:
@@ -449,14 +468,14 @@ def marginal_x(source, xs) -> np.ndarray:
     """Position marginal int W(x, p) dp at each x, exact over the whole p
     line: X_b C times the integrals of the P_b columns.  For a pure state it
     equals |psi(x)|^2."""
-    basis_x, basis_p, coeffs = _basis(source)
-    return _eval_columns(basis_x, np.asarray(xs, dtype=float)) @ (coeffs @ _integrals(basis_p))
+    core = factor(source)
+    return _eval_columns(core.basis_x, np.asarray(xs, dtype=float)) @ (core.coeffs @ _integrals(core.basis_p))
 
 
 def total_integral(source) -> float:
     """int int W dx dp over the whole plane, exact (1 for a normalized state)."""
-    basis_x, basis_p, coeffs = _basis(source)
-    return float(_integrals(basis_x) @ coeffs @ _integrals(basis_p))
+    core = factor(source)
+    return float(_integrals(core.basis_x) @ core.coeffs @ _integrals(core.basis_p))
 
 
 def _gram(cols: np.ndarray, d=0.0) -> np.ndarray:
@@ -516,7 +535,8 @@ def displaced_overlaps(source, shifts) -> np.ndarray:
     blocks of _SHIFT_ELEMENTS // max(D_x, D_p)^2, so temporaries stay
     O(_SHIFT_ELEMENTS) whatever the number of shifts, and a shift's value does
     not depend on the block it lands in."""
-    basis_x, basis_p, coeffs = _basis(source)
+    core = factor(source)
+    coeffs = core.coeffs
     shifts = np.asarray(shifts, dtype=float).reshape(-1, 2)
     per_block = max(1, _SHIFT_ELEMENTS // max(coeffs.shape) ** 2)
     out = np.empty(len(shifts))
@@ -527,11 +547,11 @@ def displaced_overlaps(source, shifts) -> np.ndarray:
         # Gram matrix; one expression, so that no block outlives its use: at
         # most G_x and the arrays of the _gram call that builds G_p are alive
         out[i:i + per_block] = np.sum(
-            _gram(basis_x, dx if dx.any() else 0.0)
-            * (coeffs @ _gram(basis_p, dp if dp.any() else 0.0) @ coeffs.T),
+            _gram(core.basis_x, dx if dx.any() else 0.0)
+            * (coeffs @ _gram(core.basis_p, dp if dp.any() else 0.0) @ coeffs.T),
             axis=(-2, -1),
         )
-    return 2.0 * math.pi * source.constants.hbar * out
+    return 2.0 * math.pi * core.constants.hbar * out
 
 
 def purity(source) -> float:
@@ -568,14 +588,16 @@ def integration_samples(width: float, max_rate: float, envelope_width: float) ->
 
 
 def suggested_window(source) -> GridWindow:
-    """Window covering every factor column of a source, six Gaussian widths
-    past each spot: six xi past the outermost centers in x and six hbar/xi
+    """Window covering every factor column of a source (or Factored), six
+    Gaussian widths past each spot: six xi past the outermost centers in x and six hbar/xi
     in p, a quarter-turned term trading the two axes.
 
     Sample counts are not set here (callers apply their own resolution
     rule); placeholders of 2 are used and must be overridden.
     """
-    (_, mu_x, sigma_x, _, _), (_, mu_p, sigma_p, _, _) = _columns(source)
+    core = factor(source)
+    _, mu_x, sigma_x, _, _ = core.basis_x
+    _, mu_p, sigma_p, _, _ = core.basis_p
     x_lo = float(np.min(mu_x - 6.0 * sigma_x))
     x_hi = float(np.max(mu_x + 6.0 * sigma_x))
     p_half = float(np.max(np.abs(mu_p) + 6.0 * sigma_p))

@@ -226,6 +226,11 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="0 crossings"):
             analyze(build_cat(1e-6, 1.0), 1.0)
 
+    def test_factors_the_state_once(self, monkeypatch):
+        built = count_factoring(monkeypatch)
+        analyze(psi_state(12, 10.0), 10.0)
+        assert built == [1]
+
     def test_extent_is_the_scenarios_bit_for_bit(self):
         # 2 fl(n/2 dx) = fl(n dx): the spread of the centers is Scenario.extent_L
         for dx in (0.3, 0.7, 1.1, 2.5, 3.0, 4.4, 6.0, 7.3):
@@ -237,6 +242,19 @@ class TestAnalyze:
                 assert report.L == report.P == scenario.extent_L
             cat = Scenario("cat", None, 1.0, 1.0, dx, 1.0, False, None)
             assert analyze(cat.build_state(), 1.0)[0].L == cat.extent_L
+
+
+def count_factoring(monkeypatch):
+    """A one-item list counting the wigner.factor calls that build a core
+    rather than pass a Factored through."""
+    built, factor = [0], wigner.factor
+
+    def counting(source):
+        built[0] += not isinstance(source, wigner.Factored)
+        return factor(source)
+
+    monkeypatch.setattr(wigner, "factor", counting)
+    return built
 
 
 def per_point_gates(state, n_points):
@@ -274,6 +292,11 @@ class TestValidateGates:
     ], ids=["fig1", "fig2a", "cat", "hbar0.7"])
     def test_point_gates_equal_the_per_point_loop(self, state):
         assert validate_gates(state, 12)[:2] == per_point_gates(state, 12)
+
+    def test_factors_the_state_once(self, monkeypatch):
+        built = count_factoring(monkeypatch)
+        validate_gates(psi_state(12, 10.0), 4)
+        assert built == [1]
 
     def test_marginal_off_by_1e9_fails_its_gate(self, monkeypatch):
         marginal_x = wigner.marginal_x

@@ -101,14 +101,33 @@ class TestWigner:
 
     def test_grid_csv_export(self, tmp_path, monkeypatch):
         code = run(
-            ["wigner", "--preset", "cat", "--grid=-7:7:33,-7:7:257", "--out", "w"],
+            ["wigner", "--preset", "cat", "--grid=-7:7:113,-7:7:257", "--out", "w"],
             tmp_path, monkeypatch,
         )
         assert code == EXIT_OK
         lines = (tmp_path / "w.csv").read_text().strip().split("\n")
         header_idx = next(i for i, l in enumerate(lines) if l == "x_min,x_max,p_min,p_max,nx,np")
-        assert lines[header_idx + 1].split(",") == ["-7", "7", "-7", "7", "33", "257"]
-        assert len(lines) - header_idx - 2 == 33
+        assert lines[header_idx + 1].split(",") == ["-7", "7", "-7", "7", "113", "257"]
+        assert len(lines) - header_idx - 2 == 113
+
+    def test_undersampled_x_axis_of_pure_source_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the p axis passes the fringe rule; along x a pure source takes
+        # auto_window's 8 samples per width xi, 112 over 14 for the cat
+        code = run(
+            ["wigner", "--preset", "cat", "--grid=-7:7:33,-7:7:257", "--out", "w"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_UNDERSAMPLED
+        assert "33 x-samples but the width rule needs 112" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_undersampled_x_axis_of_pure_source_override(self, tmp_path, monkeypatch):
+        code = run(
+            ["wigner", "--preset", "cat", "--grid=-7:7:33,-7:7:257", "--allow-undersampled", "--out", "w"],
+            tmp_path, monkeypatch,
+        )
+        assert code == EXIT_OK
+        assert len((tmp_path / "w.csv").read_text().strip().split("\n")) > 33
 
     def test_fig2a_pgm_four_arms(self, tmp_path, monkeypatch):
         code = run(
@@ -387,7 +406,7 @@ class TestValidate:
                    tmp_path, monkeypatch)
         assert code == EXIT_BAD_PARAMS
         err = capsys.readouterr().err
-        assert "demands 4401038 panels (p=933.8330396120466, window=960.024)" in err
+        assert "demands 4268998 panels (p=-844.1681735943207, window=955.0042158846821)" in err
         assert calls == []
 
 
@@ -482,7 +501,7 @@ class TestSensitivity:
 
 SENSITIVITY = ["sensitivity", "--preset", "cat", "--out", "s"]
 WIGNER = ["wigner", "--preset", "cat", "--out", "w"]
-WIGNER_GRID = WIGNER + ["--grid=-7:7:33,-7:7:257"]
+WIGNER_GRID = WIGNER + ["--grid=-7:7:113,-7:7:257"]
 UNDERSAMPLED = ["wigner", "--preset", "fig1", "--grid=-1:1:32,-1:1:32", "--out", "w"]
 
 
@@ -519,7 +538,7 @@ class TestConfigFile:
         (WIGNER_GRID + ["--format", "pgm"], "map", "logabs", "linear"),
         (WIGNER_GRID + ["--format", "pgm"], "bits", "8", "16"),
         (WIGNER, "cut", "p", "x"),
-        (WIGNER, "grid", "-7:7:33,-7:7:257", "-6:6:17,-6:6:257"),
+        (WIGNER, "grid", "-7:7:113,-7:7:257", "-6:6:97,-6:6:257"),
         (["validate", "--preset", "cat"], "points", "3", "2"),
     ]
 

@@ -326,7 +326,7 @@ class TestTwoThreads:
         assert text == per_value_join(rows)
         written_grid_csv(tmp_path, rows)
 
-    def test_one_block_starts_no_thread(self, cpus, tmp_path, monkeypatch):
+    def test_one_block_forks_no_child(self, cpus, tmp_path, monkeypatch):
         seen = forks(monkeypatch)
         rows = rows_of_blocks(1, 4, seed=3)
         before = threading.active_count()
@@ -335,7 +335,7 @@ class TestTwoThreads:
         assert threading.active_count() == before
         assert not seen
 
-    def test_threads_end_with_the_call(self, cpus, tmp_path):
+    def test_child_ends_with_the_call(self, cpus, tmp_path):
         before = threading.active_count()
         rows = rows_of_blocks(9, 16, seed=5)
         assert formatted(rows) == per_value_join(rows)

@@ -74,7 +74,7 @@ class TestConvergence:
             (build_psi(SuperoscParams(8, 10.0), 3.0, 0.25), (1.0, 2.0)),
         ):
             x, p = pt
-            d = default_quadrature(state, p)
+            d = default_quadrature(state, p, x)
             v1 = wigner_quadrature(state, x, p)
             v2 = _parts(state, x, p, QuadratureSpec(d.y_halfwidth, 2 * d.n_points))[0]
             assert abs(v1 - v2) <= 1e-15
@@ -148,8 +148,8 @@ class TestSymmetricLattice:
             assert abs(wigner_quadrature(st, x, p) - _two_call_quadrature(st, x, p)) <= 1e-14
 
     def test_one_psi_evaluation_per_point(self, monkeypatch):
-        import subzurek.oracle as oracle_mod
-
+        # one eval_psi call for the batch, covering each point's lattice
+        # once: n_points + 1 samples a point, psi(x - y) read backwards
         calls = []
 
         def counting(state, x):
@@ -158,16 +158,15 @@ class TestSymmetricLattice:
 
         monkeypatch.setattr(oracle_mod, "eval_psi", counting)
         st = build_psi(SuperoscParams(8, 10.0), 3.0, 0.25)
-        for k, (x, p) in enumerate(((0.0, 0.0), (1.3, -2.1), (-4.0, 7.5)), start=1):
-            wigner_quadrature(st, x, p)
-            assert len(calls) == k
-            assert calls[-1] == (default_quadrature(st, p).n_points + 1,)
+        points = ((0.0, 0.0), (1.3, -2.1), (-4.0, 7.5))
+        wigner_quadrature(st, [x for x, _ in points], [p for _, p in points])
+        assert calls == [(sum(default_quadrature(st, p, x).n_points + 1 for x, p in points),)]
 
 
 def _complex_exp_parts(state, x, p):
     """Reference oracle: the transform phase as one complex exp over the
     whole lattice, psi through eval_psi's sort-and-scatter path (2-D input)."""
-    quad = default_quadrature(state, p)
+    quad = default_quadrature(state, p, x)
     hbar = state.constants.hbar
     half = quad.n_points // 2
     h = 2.0 * quad.y_halfwidth / quad.n_points
@@ -315,6 +314,13 @@ class TestPairSumAccuracy:
         monkeypatch.setattr(oracle_mod, "_ALIAS_MARGIN", 8.0)
         assert _worst_vs_pair_sum(self.state(self.CASES[name])) > 1e-15
 
+    @pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "fig2c", "cat"])
+    def test_window_margin_is_needed(self, name, monkeypatch):
+        # a window ending at max|center| + 6 xi - |x| drops pair terms that
+        # reach e^{-18} of their peak, which the check above must see
+        monkeypatch.setattr(oracle_mod, "_PAIR_REACH", 6.0)
+        assert _worst_vs_pair_sum(self.state(self.CASES[name])) > 1e-15
+
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
 def cpus(request):
@@ -369,20 +375,26 @@ class TestBatchedPoints:
         assert calls == []
 
     def test_lowest_failing_index_is_raised(self, cpus, monkeypatch):
-        # the lattice midpoint is x, so the wrapper knows which point it is
-        # in; points 2 and 3 fail, and point 2 is taken first
+        # batches of at most 1200 samples hold one to three of these points
+        # and are taken in index order: points 2 and 5 fail, point 2's batch
+        # raises, and no later batch is evaluated
         st, xs, ps = _fig2b_points(8)
-        bad = {float(xs[2]): 2, float(xs[3]): 3}
+        monkeypatch.setattr(oracle_mod, "_BATCH_SAMPLES", 1200)
+        batches = []
 
         def failing(state, y):
-            index = bad.get(float(y[y.size // 2]))
-            if index is not None:
-                raise ArithmeticError(f"point {index}")
+            # a lattice's middle sample is its point's x
+            batches.append([k for k in range(xs.size) if xs[k] in y])
+            if {2, 5} & set(batches[-1]):
+                raise ArithmeticError(f"point {min({2, 5} & set(batches[-1]))}")
             return eval_psi(state, y)
 
         monkeypatch.setattr(oracle_mod, "eval_psi", failing)
         with pytest.raises(ArithmeticError, match="point 2"):
             wigner_quadrature(st, xs, ps)
+        assert len(batches) > 1
+        assert sum(batches, []) == list(range(batches[-1][-1] + 1))
+        assert 5 not in batches[-1]
 
 
 class TestQuadratureMemory:
@@ -400,6 +412,21 @@ class TestQuadratureMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 100_000
+
+    def test_200_points_peak_below_500kb(self):
+        # psi is taken a batch of at most _BATCH_SAMPLES lattice samples at a
+        # time, so the peak does not grow with the number of points; the 200
+        # lattices here hold 107,296 samples, and one batch of them all
+        # peaked at 7.0 MB
+        st, xs, ps = _fig2b_points(200)
+        wigner_quadrature(st, xs[:10], ps[:10])  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            wigner_quadrature(st, xs, ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
 
 
 class TestNormQuadrature:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,39 @@ class TestFourierCoeffs:
         table = fourier_coeffs(SuperoscParams(200, 20.0))
         assert np.all(np.isfinite(table.c))
         assert abs(table.c_sum_exact() - 1) == 0
+
+
+def _fraction_table(params):
+    """The coefficient table in Fraction arithmetic throughout: c_j from
+    Fraction(alpha), d_j as Fraction sums, floats by float()."""
+    n = params.n
+    a = Fraction(params.alpha)
+    c = [Fraction((-1) ** j * math.comb(n, j)) * (a + 1) ** (n - j) * (a - 1) ** j / Fraction(2) ** n
+         for j in range(n + 1)]
+    half = n // 2
+    d = [c[half]] + [c[half + j] + c[half - j] for j in range(1, half + 1)]
+    return c, d
+
+
+def _coefficient_cases():
+    rng = np.random.default_rng(34)
+    alphas = [1.0, 1.5, 7.31, 10.906, 16.0, 24.0] + [float(v) for v in rng.uniform(1.0, 30.0, 4)]
+    return [(n, alpha) for n in range(2, 34, 2) for alpha in alphas]
+
+
+class TestIntegerCoefficients:
+    """The table built from integer numerators over one denominator is the
+    Fraction arithmetic's, value for value and bit for bit."""
+
+    def test_equals_fraction_arithmetic(self):
+        for n, alpha in _coefficient_cases():
+            table = fourier_coeffs(SuperoscParams(n, alpha))
+            c, d = _fraction_table(table.params)
+            assert table.c_exact == tuple(c) and table.d_exact == tuple(d), (n, alpha)
+            floats = np.array([float(v) for v in c]), np.array([float(v) for v in d])
+            assert table.c.tobytes() == floats[0].tobytes(), (n, alpha)
+            assert table.d.tobytes() == floats[1].tobytes(), (n, alpha)
+            assert table.k.tobytes() == np.sqrt(np.abs(floats[1]) / float(sum(d))).tobytes(), (n, alpha)
 
 
 class TestEvalDirect:

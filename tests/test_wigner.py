@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -32,7 +33,6 @@ from subzurek.wigner import (
     PhaseSpaceGrid,
     _BLOCK_VALUES,
     _SHIFT_ELEMENTS,
-    _basis,
     _columns,
     _eval_columns,
     _gram,
@@ -44,6 +44,7 @@ from subzurek.wigner import (
     eval_cut,
     eval_grid,
     eval_wigner,
+    factor,
     integration_samples,
     marginal_x,
     overlap,
@@ -324,7 +325,7 @@ class TestGridRows:
         # fig1 folds C into X (D_x = 17 > D_p = 9), fig2b into P (38 and 38)
         source = preset_source(preset, kind)
         window = GridWindow(-16.0, 16.0, -4.0, 4.0, 17, 8000)
-        d_x, d_p = _basis(source)[2].shape
+        d_x, d_p = factor(source).coeffs.shape
         assert (d_x > d_p) == (preset == "fig1")
         grid = GridRows(source, window)
         values = eval_grid(source, window).values
@@ -530,17 +531,17 @@ class TestBasis:
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
     def test_pure_comb_counts(self, n):
         # 2m - 1 midpoints in x and m separations in p for m = n + 1 centers
-        basis_x, basis_p, coeffs = _basis(build_psi(SuperoscParams(n, 5.0), 3.0, 0.25))
+        core = factor(build_psi(SuperoscParams(n, 5.0), 3.0, 0.25))
         m = n + 1
-        assert basis_x.shape[1] == 2 * m - 1
-        assert basis_p.shape[1] == m
-        assert coeffs.shape == (2 * m - 1, m)
+        assert core.basis_x.shape[1] == 2 * m - 1
+        assert core.basis_p.shape[1] == m
+        assert core.coeffs.shape == (2 * m - 1, m)
 
     def test_fig2b_cross_counts(self):
         source = preset_source("fig2b", "cross")
-        basis_x, basis_p, _ = _basis(source)
+        core = factor(source)
         assert _columns(source)[0].shape[1] == 182
-        assert (basis_x.shape[1], basis_p.shape[1]) == (38, 38)
+        assert (core.basis_x.shape[1], core.basis_p.shape[1]) == (38, 38)
 
     def test_generic_phases_do_not_merge(self):
         # the p columns of one separation k - j share (mu, sigma, omega), and
@@ -548,12 +549,12 @@ class TestBasis:
         # basis column; the x columns all have phi = 0 and group by midpoint
         state = generic_state()
         c = state.coeffs
-        basis_x, basis_p, _ = _basis(state)
+        core = factor(state)
         for sep in range(1, 5):
             phases = np.mod(np.angle(c[:-sep] * np.conj(c[sep:])), math.pi)
             assert np.unique(phases).size == phases.size
-            assert np.count_nonzero(basis_p[3] == 1.5 * sep) == 5 - sep
-        assert basis_x.shape[1] == 9
+            assert np.count_nonzero(core.basis_p[3] == 1.5 * sep) == 5 - sep
+        assert core.basis_x.shape[1] == 9
 
     @staticmethod
     def _scan_peak(source, shifts):
@@ -596,7 +597,7 @@ class TestBasis:
         else:
             source = cross_state(build_psi(SuperoscParams(32, 24.0), 3.0, 0.25))
         shifts = [(t, t) for t in np.linspace(0.0, 2.5, 161)]
-        block = _SHIFT_ELEMENTS // max(_basis(source)[2].shape) ** 2
+        block = _SHIFT_ELEMENTS // max(factor(source).coeffs.shape) ** 2
         assert (block < len(shifts)) == several_blocks
         one_by_one = np.concatenate([displaced_overlaps(source, [s]) for s in shifts])
         assert np.array_equal(displaced_overlaps(source, shifts), one_by_one)
@@ -621,6 +622,44 @@ def mp_pair_sum(source, x, p):
                     w_sum += term.real
                     s_sum += abs(term)
         return float(w_sum), float(s_sum)
+
+
+class TestFactored:
+    """Every reader of the core gives the same bits from a Factored as from
+    the source it was factored from."""
+
+    @pytest.mark.parametrize("kind", ["pure", "cross"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2a", "compass"])
+    def test_readers_take_a_factored_source(self, name, kind):
+        if name == "compass":
+            cat = build_cat(6.0, 1.0, CONST)
+            source = cross_state(cat) if kind == "cross" else cat
+        else:
+            source = preset_source(name, kind)
+        core = factor(source)
+        assert factor(core) is core
+        xs, ps = np.linspace(-9.0, 9.0, 300), np.linspace(-4.0, 5.0, 300)
+        window = GridWindow(-9.0, 9.0, -4.0, 4.0, 33, 65)
+        shifts = [(0.0, 0.0), (0.3, -0.2), (1.1, 0.0)]
+        for read in (
+            lambda s: eval_wigner(s, xs, ps),
+            lambda s: eval_cut(s, "p", ps),
+            lambda s: eval_cut(s, "x", xs),
+            lambda s: GridRows(s, window).rows(0, window.nx),
+            lambda s: marginal_x(s, xs),
+            lambda s: np.float64(total_integral(s)),
+            lambda s: displaced_overlaps(s, shifts),
+            lambda s: np.float64(purity(s)),
+            lambda s: np.array(dataclasses.astuple(suggested_window(s))),
+        ):
+            assert read(core).tobytes() == read(source).tobytes()
+
+    def test_arrays_are_read_only(self):
+        core = factor(preset_source("fig2b", "cross"))
+        assert core.constants == CONST
+        for a in (core.basis_x, core.basis_p, core.coeffs):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestRoundoffFloor:
