@@ -192,24 +192,26 @@ def _rule_min_samples(width: float, fringe: float) -> int:
     return int(math.ceil(SAMPLES_PER_FRINGE * width / fringe))
 
 
-def auto_window(scenario: Scenario, source) -> tuple[GridWindow, bool]:
-    """Default grid: full source extent, fringe-rule resolution capped at
-    MAX_AUTO_SAMPLES per axis.  Returns (window, undersampled_flag)."""
-    base = wigner.suggested_window(source)
+def _axis_rules(scenario: Scenario, source) -> dict[str, tuple[str, float]]:
+    """Each axis's sampling rule, (name, finest structure): the fringe along
+    p; along x the fringe for a cross, whose arms put p fringes along x too,
+    and the width xi for a pure source."""
     fringe = scenario.fringe()
-    # x axis: pure-state structure is the Gaussian width; cross arms add fringes
-    x_width = base.x_max - base.x_min
-    p_width = base.p_max - base.p_min
-    x_fine = fringe if isinstance(source, MixtureSpec) else scenario.xi
-    nx_rule = _rule_min_samples(x_width, x_fine)
-    np_rule = _rule_min_samples(p_width, fringe)
+    x_rule = ("fringe", fringe) if isinstance(source, MixtureSpec) else ("width", scenario.xi)
+    return {"p": ("fringe", fringe), "x": x_rule}
+
+
+def auto_window(scenario: Scenario, source) -> tuple[GridWindow, bool]:
+    """Default grid: full source extent, each axis's rule of _axis_rules
+    capped at MAX_AUTO_SAMPLES samples.  Returns (window, undersampled_flag)."""
+    base = wigner.suggested_window(source)
+    rules = _axis_rules(scenario, source)
+    nx_rule = _rule_min_samples(base.x_max - base.x_min, rules["x"][1])
+    np_rule = _rule_min_samples(base.p_max - base.p_min, rules["p"][1])
     nx = min(max(nx_rule, 129), MAX_AUTO_SAMPLES)
     npts = min(max(np_rule, 129), MAX_AUTO_SAMPLES)
-    undersampled = nx < nx_rule or npts < np_rule
-    return (
-        GridWindow(base.x_min, base.x_max, base.p_min, base.p_max, nx, npts),
-        undersampled,
-    )
+    window = GridWindow(base.x_min, base.x_max, base.p_min, base.p_max, nx, npts)
+    return window, nx < nx_rule or npts < np_rule
 
 
 def cut_window(scenario: Scenario, source, axis: str, mapping: str) -> tuple[float, int]:
@@ -251,7 +253,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     lines.append(f"# sum_c = {float(c_sum):.17g} (exact {c_sum})")
     lines.append(f"# sum_d = {float(d_sum):.17g} (exact {d_sum})")
     text = "\n".join(lines) + "\n"
-    out = (args.out or (args.preset or "coeffs")) + "_coeffs.csv"
+    out = (args.out or args.preset or args.command) + "_coeffs.csv"
     export.atomic_write_text(out, text)
     print(f"wrote {out}  sum_c={float(c_sum):.17g} sum_d={float(d_sum):.17g}")
     return EXIT_OK
@@ -260,13 +262,12 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args)
     source = scenario.build_source(args.source)
-    fringe = scenario.fringe()
     header = [
         f"subzurek wigner {scenario.describe()} source={args.source} "
-        f"map={args.map} fringe={fringe:.17g}"
+        f"map={args.map} fringe={scenario.fringe():.17g}"
     ]
     print(f"W(0,0) = {wigner.eval_wigner(source, 0.0, 0.0):.17g}")
-    prefix = args.out or (args.preset or "wigner")
+    prefix = args.out or args.preset or args.command
 
     if args.cut:
         width, samples = cut_window(scenario, source, args.cut, args.map)
@@ -283,11 +284,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if args.grid:
         x0, x1, nx, p0, p1, npts = _parse_grid(args.grid)
         window = GridWindow(x0, x1, p0, p1, nx, npts)
-        # x takes auto_window's rule: quarter-turned arms put the p fringes
-        # along x as well, and a pure source's finest x structure is its width
-        x_rule = ("fringe", fringe) if isinstance(source, MixtureSpec) else ("width", scenario.xi)
-        for axis, have, width, (rule, fine) in (("p", npts, p1 - p0, ("fringe", fringe)),
-                                               ("x", nx, x1 - x0, x_rule)):
+        rules = _axis_rules(scenario, source)
+        for axis, have, width in (("p", npts, p1 - p0), ("x", nx, x1 - x0)):
+            rule, fine = rules[axis]
             need = _rule_min_samples(width, fine)
             if have < need and not args.allow_undersampled:
                 raise CliError(
@@ -325,7 +324,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"analysis failed: {exc}", EXIT_ANALYSIS) from exc
 
-    out = (args.out or (args.preset or "analyze")) + "_report.txt"
+    out = (args.out or args.preset or args.command) + "_report.txt"
     text = f"# subzurek analyze {scenario.describe()}\n" + analysis.report_to_text(report, spill)
     export.atomic_write_text(out, text)
     print(f"L = {report.L:.6g}   P = {report.P:.6g}")
@@ -363,7 +362,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     direction = {"x": (1.0, 0.0), "p": (0.0, 1.0), "diag": (1.0, 1.0)}[args.direction]
     ts, ov = analysis.overlap_decay_scan(source, direction, args.max_delta, args.steps)
     scale = analysis.last_half_crossing(ts, ov)
-    prefix = args.out or (args.preset or "sensitivity")
+    prefix = args.out or args.preset or args.command
     header = [
         f"subzurek sensitivity {scenario.describe()} source={args.source} direction={args.direction} "
         f"half_overlap_displacement={scale:.17g}"

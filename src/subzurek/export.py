@@ -640,7 +640,7 @@ def _mapped_range(blocks: Iterable[np.ndarray], mapping: str) -> tuple[float, fl
         m = float(np.maximum(hi, -lo))  # max|v|, no |v| array
         return (-0.0, 0.0) if m == 0.0 else (-m, m)
     if mapping == MAP_LOGABS:
-        lo, hi = np.log(np.maximum([lo, hi], LOG_FLOOR))
+        lo, hi = log_profile(np.array([lo, hi]))
     return float(lo), float(hi)
 
 
@@ -653,9 +653,7 @@ def _map_block(values: np.ndarray, mapping: str, lo: float, hi: float) -> np.nda
     if not span > 0.0:
         return np.full(values.shape, 0.5 if mapping == MAP_SIGNED else 0.0)
     if mapping == MAP_LOGABS:
-        unit = np.abs(values, dtype=np.float64)
-        np.maximum(unit, LOG_FLOOR, out=unit)
-        np.log(unit, out=unit)
+        unit = log_profile(values)
         unit -= lo
     else:
         unit = np.subtract(values, lo, dtype=np.float64)
@@ -714,5 +712,7 @@ def grid_to_pgm(
 
 
 def log_profile(values: np.ndarray) -> np.ndarray:
-    """ln|W| with the 1e-300 floor, for superoscillation-panel profiles."""
-    return np.log(np.maximum(np.abs(values), LOG_FLOOR))
+    """ln max(|v|, 1e-300), the logabs map and panel profiles, as one new array."""
+    out = np.abs(values, dtype=np.float64)
+    np.maximum(out, LOG_FLOOR, out=out)
+    return np.log(out, out=out)

@@ -11,11 +11,12 @@ window and sample count from printed criteria instead of adaptivity so
 failures are auditable.  Every point and the norm integral use it; no
 caller chooses another.  A point's lattice is symmetric about y = 0, so
 psi is evaluated once a sample and read backwards for psi(x-y).  The
-transform phase is built on the y >= 0 half alone, from cos and sin, and
-mirrored as its conjugate; its bits are those of the complex exp over the
-whole lattice.  The integrand is still formed and summed over the whole
-lattice: its value at -y is the conjugate of its value at +y only up to
-roundoff, so the imaginary part cancels pairwise and only checks roundoff.
+transform phase is taken from cos and sin on the y >= 0 samples alone,
+each y < 0 sample the conjugate of its mirror; its bits are those of the
+complex exp over the whole lattice.  The integrand is still formed and
+summed over the whole lattice: its value at -y is the conjugate of its
+value at +y only up to roundoff, so the imaginary part cancels pairwise and
+only checks roundoff.
 
 psi comes from states.eval_psi, whose components end where exp stops
 returning normal numbers, at exponent ln(2^-1022); the terms left out are
@@ -29,13 +30,16 @@ two.
 wigner_quadrature takes arrays of points.  It fixes every point's rule
 first, so a point outside the oracle's regime raises before any quadrature
 runs.  It then takes the points in index order, in batches of at most
-_BATCH_SAMPLES lattice samples (a larger lattice alone), and evaluates psi
-on all the lattices of a batch in one eval_psi call: a sample's psi does
-not depend on the samples beside it, so a point's bits do not depend on the
-batching, and per-point numpy calls, which cost more than the arithmetic on
-lattices of a few hundred samples, are paid once a batch.  The budget keeps
-a call's peak, about 70 bytes a sample, from growing with the number of
-points.
+_BATCH_SAMPLES lattice samples (a larger lattice alone).  A batch's
+lattices, psi (one eval_psi call), integrand and transform phase are each
+formed once, as one array over all its samples, and only the Simpson sums
+are taken point by point.  Every sample's value is the arithmetic of its
+own point: y = k h from its integer offset k from its point's middle
+sample, and psi does not depend on the samples beside it.  So a point's
+bits do not depend on the batching, and numpy's per-call cost, more than
+the arithmetic on lattices of a few hundred samples, is paid once a batch.
+The budget keeps a call's peak, about 90 bytes a sample, from growing with
+the number of points.
 
 For shared-width Gaussian superpositions the integrand is a sum of terms,
 one per component pair (j,k):
@@ -116,58 +120,46 @@ def _simpson(values: np.ndarray, h: float):
     return (values[0] + values[-1] + 4.0 * odd + 2.0 * even) * (h / 3.0)
 
 
-def _transform(f: np.ndarray, p: float, hbar: float, quad: QuadratureSpec) -> tuple[float, float]:
-    """(real, imaginary) Simpson estimates of the transform integral from
-    psi(x + y) on the lattice of quad."""
-    half = quad.n_points // 2
-    h = 2.0 * quad.y_halfwidth / quad.n_points
-    # the lattice's y >= 0 half, k h; numpy's complex division by hbar
-    # multiplies by 1/hbar, so theta takes the same factor and every bit of
-    # the phase below is the complex exp's
-    theta = np.arange(half + 1, dtype=float)
-    theta *= h
-    theta *= 2.0 * p
-    theta *= 1.0 / hbar
-    integrand = np.conj(f)
-    integrand *= f[::-1]
-    # e^{2ipy/hbar} from cos and sin on y >= 0, the y < 0 half its conjugate
-    # read backwards
-    phase = np.empty(integrand.size, dtype=complex)
-    np.cos(theta, out=phase.real[half:])
-    np.sin(theta, out=phase.imag[half:])
-    del theta
-    phase.real[:half] = phase.real[:half:-1]
-    np.negative(phase.imag[:half:-1], out=phase.imag[:half])
-    integrand *= phase
-    del phase
-    total = _simpson(integrand, h) / (math.pi * hbar)
-    return float(np.real(total)), float(np.imag(total))
-
-
 def _batch_parts(state: StateSpec, xs, ps, quads) -> list[tuple[float, float]]:
-    """_transform of each point, psi taken on all their lattices in one
-    eval_psi call.  A sample's psi does not depend on the samples beside it,
-    so each point keeps the bits of a call of its own."""
-    ends = np.cumsum([quad.n_points + 1 for quad in quads]).tolist()
-    lattice = np.empty(ends[-1])
-    for x, quad, start, stop in zip(xs, quads, [0] + ends, ends):
-        # x + k h: integer multiples of h make the lattice exactly symmetric
-        # about x, so psi(x - y) is psi(x + y) read backwards
-        y = lattice[start:stop]
-        y[:] = np.arange(-(quad.n_points // 2), quad.n_points // 2 + 1)
-        y *= 2.0 * quad.y_halfwidth / quad.n_points
-        y += x
-    f = eval_psi(state, lattice)
-    del lattice
+    """(real, imaginary) Simpson estimates of the transform integral at each
+    point under its rule, from whole-batch arrays and per-point Simpson sums
+    (see the module docstring)."""
     hbar = state.constants.hbar
-    return [_transform(f[start:stop], p, hbar, quad)
-            for p, quad, start, stop in zip(ps, quads, [0] + ends, ends)]
-
-
-def _parts(state: StateSpec, x: float, p: float, quad: QuadratureSpec) -> tuple[float, float]:
-    """(real, imaginary) Simpson estimates of the transform integral under
-    the rule quad."""
-    return _batch_parts(state, [x], [p], [quad])[0]
+    sizes = [quad.n_points + 1 for quad in quads]
+    hs = [2.0 * quad.y_halfwidth / quad.n_points for quad in quads]
+    ends = np.cumsum(sizes)
+    # y = k h from each sample's integer offset k from its point's middle
+    # sample: the lattice is exactly symmetric about x, so psi(x - y) is
+    # psi(x + y) read through mirror, each run reversed
+    middle = np.repeat(ends - np.array(sizes) // 2 - 1, sizes)
+    k = np.arange(ends[-1]) - middle
+    mirror = middle - k
+    up = k >= 0
+    y = k * np.repeat(hs, sizes)
+    del middle, k
+    # numpy's complex division by hbar multiplies by 1/hbar, so theta takes
+    # the same factor and every bit of the phase is the complex exp's
+    theta = y[up]
+    theta *= np.repeat([2.0 * p for p in ps], [size // 2 + 1 for size in sizes])
+    theta *= 1.0 / hbar
+    y += np.repeat(xs, sizes)
+    f = eval_psi(state, y)
+    del y
+    integrand = np.conj(f)
+    integrand *= f[mirror]
+    del f
+    # e^{2ipy/hbar} from cos and sin on y >= 0, each y < 0 sample the
+    # conjugate of its mirror sample
+    phase = np.empty(integrand.size, dtype=complex)
+    phase.real[up] = np.cos(theta)
+    phase.imag[up] = np.sin(theta)
+    phase[~up] = np.conj(phase[mirror[~up]])
+    integrand *= phase
+    parts = []
+    for h, stop, size in zip(hs, ends.tolist(), sizes):
+        total = _simpson(integrand[stop - size:stop], h) / (math.pi * hbar)
+        parts.append((float(np.real(total)), float(np.imag(total))))
+    return parts
 
 
 def wigner_quadrature_parts(state: StateSpec, x: float, p: float) -> tuple[float, float]:
@@ -175,7 +167,7 @@ def wigner_quadrature_parts(state: StateSpec, x: float, p: float) -> tuple[float
 
     The imaginary part is a pure diagnostic; it cancels analytically.
     """
-    return _parts(state, x, p, default_quadrature(state, p, x))
+    return _batch_parts(state, [x], [p], [default_quadrature(state, p, x)])[0]
 
 
 def wigner_quadrature(state: StateSpec, x, p):
@@ -185,7 +177,7 @@ def wigner_quadrature(state: StateSpec, x, p):
     point's rule is fixed first, in index order, so a point outside the
     oracle's regime raises before any quadrature runs.  The points are then
     taken in index order, in batches of at most _BATCH_SAMPLES lattice
-    samples, one eval_psi call a batch.
+    samples, each batch transformed in one pass (_batch_parts).
     """
     x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
     xs, ps = x.ravel().tolist(), p.ravel().tolist()

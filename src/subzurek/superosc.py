@@ -62,23 +62,25 @@ class SuperoscParams:
 class CoeffTable:
     """Fourier coefficients c_0..c_n and the derived d/k sequences.
 
-    Float views are provided for numerics; the exact rational values used to
-    build them are retained so the sum identities (sum c = sum d = 1) can be
-    checked without floating-point cancellation.
+    Float views are provided for numerics.  The exact values are held once,
+    as the integer numerators of the c_j and d_j over their one denominator,
+    so the sum identities (sum c = sum d = 1) can be checked without
+    floating-point cancellation.
     """
 
     params: SuperoscParams
     c: np.ndarray
     d: np.ndarray
     k: np.ndarray
-    c_exact: tuple = field(repr=False)
-    d_exact: tuple = field(repr=False)
+    c_numerators: tuple = field(repr=False)
+    d_numerators: tuple = field(repr=False)
+    denominator: int = field(repr=False)
 
     def c_sum_exact(self) -> Fraction:
-        return sum(self.c_exact, Fraction(0))
+        return Fraction(sum(self.c_numerators), self.denominator)
 
     def d_sum_exact(self) -> Fraction:
-        return sum(self.d_exact, Fraction(0))
+        return Fraction(sum(self.d_numerators), self.denominator)
 
 
 def _exact_coeffs(params: SuperoscParams) -> tuple[list[int], int]:
@@ -120,8 +122,8 @@ def fourier_coeffs(params: SuperoscParams) -> CoeffTable:
     c = np.array([v / scale for v in nums])
     d = np.array([v / scale for v in d_nums])
     k = np.sqrt(np.abs(d))
-    return CoeffTable(params=params, c=c, d=d, k=k, c_exact=tuple(Fraction(v, scale) for v in nums),
-                      d_exact=tuple(Fraction(v, scale) for v in d_nums))
+    return CoeffTable(params=params, c=c, d=d, k=k, c_numerators=tuple(nums),
+                      d_numerators=tuple(d_nums), denominator=scale)
 
 
 def _cpow_int(base: complex, n: int) -> complex:
@@ -160,9 +162,8 @@ def eval_f_fourier(table: CoeffTable, x: float) -> complex:
     with mp.workdps(_working_digits(table.params)):
         xx = mp.mpf(x)
         acc = mp.mpc(0)
-        for j, cj in enumerate(table.c_exact):
-            term = mp.mpf(cj.numerator) / cj.denominator
-            acc += term * mp.expj((n - 2 * j) * xx)
+        for j, num in enumerate(table.c_numerators):
+            acc += mp.mpf(num) / table.denominator * mp.expj((n - 2 * j) * xx)
         return complex(acc)
 
 

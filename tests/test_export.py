@@ -282,7 +282,7 @@ def test_fork_threshold(nblocks, tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures("fork_from_8_blocks")
-class TestTwoThreads:
+class TestForkedChild:
     """The CSV text is formatted on the caller's thread alone, and
     write_grid_csv formats the second half of a grid in a forked child when
     the process may use two CPUs and runs no second Python thread."""

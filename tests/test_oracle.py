@@ -9,7 +9,7 @@ import pytest
 import subzurek.oracle as oracle_mod
 from subzurek.oracle import (
     QuadratureSpec,
-    _parts,
+    _batch_parts,
     _simpson,
     default_quadrature,
     norm_quadrature,
@@ -76,7 +76,7 @@ class TestConvergence:
             x, p = pt
             d = default_quadrature(state, p, x)
             v1 = wigner_quadrature(state, x, p)
-            v2 = _parts(state, x, p, QuadratureSpec(d.y_halfwidth, 2 * d.n_points))[0]
+            v2 = _batch_parts(state, [x], [p], [QuadratureSpec(d.y_halfwidth, 2 * d.n_points)])[0][0]
             assert abs(v1 - v2) <= 1e-15
 
     def test_error_reduction_per_doubling_above_roundoff(self):

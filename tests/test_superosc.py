@@ -2,12 +2,14 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from subzurek.superosc import (
     CoeffTable,
     SuperoscParams,
+    _working_digits,
     eval_f_direct,
     eval_f_fourier,
     fourier_coeffs,
@@ -103,11 +105,30 @@ class TestIntegerCoefficients:
         for n, alpha in _coefficient_cases():
             table = fourier_coeffs(SuperoscParams(n, alpha))
             c, d = _fraction_table(table.params)
-            assert table.c_exact == tuple(c) and table.d_exact == tuple(d), (n, alpha)
+            exact = [tuple(Fraction(v, table.denominator) for v in nums)
+                     for nums in (table.c_numerators, table.d_numerators)]
+            assert exact == [tuple(c), tuple(d)], (n, alpha)
             floats = np.array([float(v) for v in c]), np.array([float(v) for v in d])
             assert table.c.tobytes() == floats[0].tobytes(), (n, alpha)
             assert table.d.tobytes() == floats[1].tobytes(), (n, alpha)
             assert table.k.tobytes() == np.sqrt(np.abs(floats[1]) / float(sum(d))).tobytes(), (n, alpha)
+
+    def test_fourier_sum_bits_equal_fraction_path(self):
+        # the Fourier sum over reduced Fractions, each c_j's numerator over
+        # its own denominator in mpmath, against the table's numerators over
+        # their one denominator
+        rng = np.random.default_rng(35)
+        for n, alpha in _coefficient_cases():
+            table = fourier_coeffs(SuperoscParams(n, alpha))
+            c, _ = _fraction_table(table.params)
+            for x in rng.uniform(-math.pi, math.pi, 10).tolist():
+                with mpmath.workdps(_working_digits(table.params)):
+                    xx, acc = mpmath.mpf(x), mpmath.mpc(0)
+                    for j, cj in enumerate(c):
+                        acc += mpmath.mpf(cj.numerator) / cj.denominator * mpmath.expj((n - 2 * j) * xx)
+                    ref = complex(acc)
+                got = eval_f_fourier(table, x)
+                assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (n, alpha, x)
 
 
 class TestEvalDirect:
